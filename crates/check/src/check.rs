@@ -172,10 +172,9 @@ impl<'d, 's> Checker<'d, 's> {
                     let mut kctx = self.kind_ctx();
                     let s = &mut *self.session;
                     let aid = s.intern(arg);
-                    // Kind checking only reads nodes; the session's
-                    // local mirror covers every id it just produced.
-                    kctx.check_id(s.local(), aid, kappa)
-                        .map_err(TypeError::from)?;
+                    // Kind checking only reads nodes, through the
+                    // session's store.
+                    kctx.check_id(&*s, aid, kappa).map_err(TypeError::from)?;
                     let fid = s.intern(&ft);
                     let inst = s.instantiate(fid, aid).expect("interned from a Forall");
                     let n = s.nrm(inst);

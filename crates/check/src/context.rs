@@ -237,8 +237,8 @@ pub fn is_unrestricted(decls: &algst_core::protocol::Declarations, ty: &Type) ->
     go(decls, ty, &mut Vec::new())
 }
 
-fn diff_message(s: &mut Session, a: &[&Entry], b: &[&Entry]) -> String {
-    let mut show = |es: &[&Entry]| {
+fn diff_message(s: &Session, a: &[&Entry], b: &[&Entry]) -> String {
+    let show = |es: &[&Entry]| {
         if es.is_empty() {
             "(none)".to_owned()
         } else {

@@ -6,7 +6,7 @@
 
 use crate::kind::Kind;
 use crate::protocol::Declarations;
-use crate::store::{TNode, TypeId, TypeStore};
+use crate::store::{StoreOps, TNode, TypeId};
 use crate::symbol::Symbol;
 use crate::types::Type;
 use std::fmt;
@@ -198,14 +198,14 @@ impl<'d> KindCtx<'d> {
     /// [`KindCtx::synth`], but walking [`TNode`]s directly. Binder kinds
     /// of the nameless `∀`s are tracked in a de-Bruijn stack; free
     /// variables resolve through the named bindings of this context.
-    pub fn synth_id(&mut self, store: &TypeStore, id: TypeId) -> Result<Kind, KindError> {
+    pub fn synth_id<S: StoreOps>(&mut self, store: &S, id: TypeId) -> Result<Kind, KindError> {
         let mut bound = Vec::new();
         self.synth_id_under(store, id, &mut bound)
     }
 
-    fn synth_id_under(
+    fn synth_id_under<S: StoreOps>(
         &mut self,
-        store: &TypeStore,
+        store: &S,
         id: TypeId,
         bound: &mut Vec<Kind>,
     ) -> Result<Kind, KindError> {
@@ -277,9 +277,9 @@ impl<'d> KindCtx<'d> {
     }
 
     /// `Δ ⊢ T ⇐ κ` on an interned id (rule T-Sub).
-    pub fn check_id(
+    pub fn check_id<S: StoreOps>(
         &mut self,
-        store: &TypeStore,
+        store: &S,
         id: TypeId,
         expected: Kind,
     ) -> Result<(), KindError> {
@@ -287,9 +287,9 @@ impl<'d> KindCtx<'d> {
         self.check_id_under(store, id, expected, &mut bound)
     }
 
-    fn check_id_under(
+    fn check_id_under<S: StoreOps>(
         &mut self,
-        store: &TypeStore,
+        store: &S,
         id: TypeId,
         expected: Kind,
         bound: &mut Vec<Kind>,
@@ -311,6 +311,7 @@ impl<'d> KindCtx<'d> {
 mod tests {
     use super::*;
     use crate::protocol::{Ctor, ProtocolDecl};
+    use crate::store::TypeStore;
 
     fn decls_with_stream() -> Declarations {
         let mut d = Declarations::new();

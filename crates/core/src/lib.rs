@@ -19,10 +19,11 @@
 //! * [`store`] — the hash-consed type store: `Type` interned to
 //!   [`store::TypeId`] with canonical (de-Bruijn) binders, memoized
 //!   normalization, and O(1) amortized equivalence.
-//! * [`shared`] — the **sharded concurrent** lift of the store: a
-//!   process-wide append-only arena + memo shards
-//!   ([`shared::SharedStore`]) with per-thread mirrors that publish
-//!   write deltas ([`shared::WorkerStore`]), so every thread shares
+//! * [`shared`] — the **concurrent** lift of the store: a process-wide
+//!   lock-free arena with per-node memo cells and a lock-free
+//!   hash-consing index ([`shared::SharedStore`]), read directly by
+//!   per-thread handles that commit each cold operation's new nodes
+//!   under one lock ([`shared::WorkerStore`]), so every thread shares
 //!   warm state.
 //! * [`session`] — the public entry point: an explicit [`Session`]
 //!   handle owning a worker over a shared store. All of

@@ -13,11 +13,15 @@
 //!   time. A `Session` is a plain value — the borrow checker rules the
 //!   same mistake out at compile time.
 //!
-//! A `Session` owns a [`WorkerStore`]: a per-thread mirror onto a
-//! sharded [`SharedStore`]. Sessions over the *same* store (created
-//! with [`Session::sibling`]) share interned nodes and memoized normal
-//! forms — that is the warm-path scaling story of the server. Sessions
-//! over *different* stores ([`Session::new`]) share nothing at all.
+//! A `Session` owns a [`WorkerStore`]: a per-thread handle onto a
+//! [`SharedStore`]. It reads the store's lock-free arena directly and
+//! keeps private only what one operation is still building (an overlay
+//! of new nodes, committed under one lock when the operation ends),
+//! plus display hints and an extraction memo. Sessions over the *same*
+//! store (created with [`Session::sibling`]) share interned nodes and
+//! memoized normal forms as soon as an operation ends — that is the
+//! warm-path scaling story of the server. Sessions over *different*
+//! stores ([`Session::new`]) share nothing at all.
 //!
 //! ```
 //! use algst_core::{Session, types::Type};
@@ -36,7 +40,7 @@
 
 use crate::normalize::resugar;
 use crate::shared::{SharedStore, StoreStats, WorkerStore};
-use crate::store::{StoreOps, TNode, TypeId, TypeStore};
+use crate::store::{StoreOps, TNode, TypeId};
 use crate::symbol::Symbol;
 use crate::types::Type;
 use std::collections::HashMap;
@@ -105,8 +109,8 @@ impl Session {
 
     /// A new session over the **same** store as `self` — for handing to
     /// another worker thread. Siblings agree on every [`TypeId`] and
-    /// share all memoized normal forms (after [`Session::publish`], which
-    /// also runs automatically at a delta threshold and on drop).
+    /// share every node and memoized normal form as soon as the
+    /// operation that made it returns.
     ///
     /// ```
     /// use algst_core::{Session, types::Type};
@@ -181,7 +185,7 @@ impl Session {
     }
 
     /// Converts an id back to a boundary [`Type`].
-    pub fn extract(&mut self, id: TypeId) -> Type {
+    pub fn extract(&self, id: TypeId) -> Type {
         self.worker.extract(id)
     }
 
@@ -191,16 +195,8 @@ impl Session {
     }
 
     /// Tree-node count of the type behind `id`.
-    pub fn node_count(&mut self, id: TypeId) -> u64 {
+    pub fn node_count(&self, id: TypeId) -> u64 {
         self.worker.node_count(id)
-    }
-
-    /// Read-only view of the session's local mirror, for id-level code
-    /// that takes a plain [`TypeStore`] (e.g.
-    /// [`KindCtx::check_id`](crate::kindcheck::KindCtx::check_id)).
-    /// Every id this session has produced or looked at is present.
-    pub fn local(&self) -> &TypeStore {
-        self.worker.local()
     }
 
     // ---------------------------------------------------------- tree level
@@ -294,27 +290,30 @@ impl Session {
 
     // ------------------------------------------------------- store plumbing
 
-    /// Merges this session's memo deltas into the shared store so
-    /// siblings get warm hits for them. Also runs automatically at a
-    /// delta-size threshold and when the session drops.
+    /// Marks a batch boundary: counts a store generation if this
+    /// session committed nodes since its last publish, and folds its
+    /// hit/miss counters and private-memory estimate into the store's
+    /// statistics. Takes no locks. Also runs when the session drops.
+    /// Siblings do not wait for it: nodes and normal forms are shared
+    /// as soon as the operation that made them returns.
     pub fn publish(&mut self) {
         self.worker.publish();
     }
 
-    /// Statistics of the store behind this session (its own pending
-    /// delta published first, so the caller sees its work reflected).
+    /// Statistics of the store behind this session (published first,
+    /// so the caller sees its own counters reflected).
     ///
     /// Besides hit/miss rates, the stats expose the store's contention
-    /// profile: the snapshot generation, how many generations were
-    /// installed, how many cold interns entered the writer mutex
-    /// (`slow_path`), and the total lock acquisitions — which stay flat
-    /// across warm replays.
+    /// profile: the store generation, how many generations were
+    /// counted, how many cold operations committed through the writer
+    /// mutex (`slow_path`), and the total lock acquisitions — which
+    /// stay flat across warm replays.
     ///
     /// ```
     /// use algst_core::{Session, Type};
     /// let mut session = Session::new();
     /// assert!(session.equivalent(&Type::dual(Type::EndIn), &Type::EndOut));
-    /// let stats = session.stats(); // publishes, then snapshots the store
+    /// let stats = session.stats(); // publishes, then reads the counters
     /// assert!(stats.slow_path > 0, "cold interning took the writer mutex");
     /// assert!(stats.generation >= 1 && stats.snapshot_installs >= 1);
     ///
@@ -347,10 +346,11 @@ impl Session {
     }
 
     /// True when the store has compacted past this session's pinned
-    /// epoch. Ids produced while stale are **local-private** — they
-    /// name this session's mirror only and must never be shared with
-    /// other sessions (e.g. through an id-keyed cache), even one pinned
-    /// to the same epoch. Cleared by [`Session::repin`].
+    /// epoch. Ids produced while stale may be **private overlay ids**
+    /// ([`TypeId::is_overlay`]) — they name this session's overlay only
+    /// and must never be shared with other sessions (e.g. through an
+    /// id-keyed cache), even one pinned to the same epoch. Cleared by
+    /// [`Session::repin`].
     pub fn is_stale(&self) -> bool {
         self.worker.is_stale()
     }
@@ -371,15 +371,15 @@ impl Session {
 
 /// A `Session` runs the same id-level algorithms as every other store:
 /// generic helpers (`Subst::apply_interned`, suite interning) accept it
-/// anywhere a [`TypeStore`] or [`WorkerStore`] is accepted.
+/// anywhere a [`TypeStore`](crate::store::TypeStore) or [`WorkerStore`] is accepted.
 impl StoreOps for Session {
-    fn node_owned(&mut self, id: TypeId) -> TNode {
-        self.worker.node_owned(id)
+    fn node(&self, id: TypeId) -> &TNode {
+        self.worker.node(id)
     }
     fn mk_node(&mut self, node: TNode) -> TypeId {
         self.worker.mk_node(node)
     }
-    fn binders_needed(&mut self, id: TypeId) -> u32 {
+    fn binders_needed(&self, id: TypeId) -> u32 {
         self.worker.binders_needed(id)
     }
     fn memo_pos_entry(&mut self, id: TypeId) -> Option<TypeId> {
@@ -396,6 +396,12 @@ impl StoreOps for Session {
     }
     fn note_binder_hint(&mut self, id: TypeId, name: Symbol) {
         self.worker.note_binder_hint(id, name)
+    }
+    fn binder_hint(&self, id: TypeId) -> Option<Symbol> {
+        self.worker.binder_hint(id)
+    }
+    fn settle(&mut self, ids: &mut [TypeId]) -> bool {
+        self.worker.settle(ids)
     }
 }
 

@@ -1,164 +1,167 @@
-//! An **epoch-snapshot concurrent type store**: the multi-threaded lift
-//! of [`crate::store`], with a lock-free warm path.
+//! A **concurrent type store** with a lock-free warm path: the
+//! multi-threaded lift of [`crate::store`].
 //!
-//! The single-threaded [`TypeStore`] makes equivalence O(1) amortized,
-//! but each thread used to pay its own cold interning and normalization.
-//! This module shares that warm state across threads without making any
-//! warm read take a lock or an atomic read-modify-write:
+//! The single-threaded [`TypeStore`](crate::store::TypeStore) makes
+//! equivalence O(1) amortized, but each thread would pay its own cold
+//! interning and normalization. This module shares that state across
+//! threads without making any warm read take a lock or an atomic
+//! read-modify-write:
 //!
 //! * [`SharedStore`] — the process-wide source of truth. It owns
 //!   - a **lock-free append-only arena** (the id space): a spine of
-//!     doubling segments whose slots are written exactly once, so a
-//!     reader resolves any published [`TypeId`] with plain acquire
-//!     loads;
-//!   - an **immutable, generation-stamped `Snapshot`** of the
-//!     hash-consing map and the `nrm⁺`/`nrm⁻` memo tables. A snapshot is
-//!     a small stack of frozen `Arc<HashMap>` layers (LSM-style), never
-//!     mutated after install; and
-//!   - a single **writer mutex** guarding the pending (not yet
-//!     installed) delta and the arena tail. Only cold interning and
-//!     delta publication ever touch it.
-//! * [`WorkerStore`] — a per-thread handle: a cached `Arc` of some
-//!   recent snapshot plus a **local mirror** (a plain [`TypeStore`]
-//!   whose arena is always a prefix-consistent copy of the shared one).
-//!   Warm lookups hit the mirror or the cached snapshot; freshly
-//!   computed memo entries accumulate in private deltas merged on
-//!   [`WorkerStore::publish`] (automatic at a size threshold and on
-//!   drop), which installs a new generation every other worker can then
-//!   read without locks.
+//!     doubling segments of slots. A slot holds a node, its
+//!     `needs_binders` measure and the node's memoized `nrm⁺`/`nrm⁻`
+//!     normal forms. The node is written exactly once, before its id is
+//!     handed out, and each memo cell at most once;
+//!   - a **lock-free hash-consing index** over the arena (node → id):
+//!     open addressing in doubling levels, written by one writer at a
+//!     time and probed by anyone with plain acquire loads; and
+//!   - a single **writer mutex** over the current epoch's arena,
+//!     serializing appends to the arena and the index. Only commits,
+//!     compactions and workers attaching or repinning take it.
+//! * [`WorkerStore`] — a per-thread handle: it pins one epoch's arena
+//!   and keeps a little worker-private state: a **private overlay** of
+//!   the nodes the running operation created, the memo entries that
+//!   cannot be shared yet, binder-name hints and the extraction memo.
 //!
 //! ## The warm path takes zero locks
 //!
 //! A warm read — id lookup, `nrm` memo hit, intern hit on an existing
-//! node — is, in order: a local-mirror probe (thread-private), then a
-//! probe of the cached snapshot's layers (immutable, lock-free). On a
-//! snapshot miss the worker compares one atomic **generation counter**
-//! (an acquire *load*, not an RMW) against its cached snapshot; only
-//! when the store has actually moved does it refresh through the
-//! snapshot lock, and only a genuine cold miss enters the writer mutex.
-//! The always-on [`StoreStats::lock_acquisitions`] counter records every
+//! node — is a probe of the index and loads from arena slots. Only an
+//! operation that created nodes enters the writer mutex, once. The
+//! always-on [`StoreStats::lock_acquisitions`] counter records every
 //! lock taken, so "warm replay acquires zero locks" is a testable
 //! invariant, not a hope (see `tests/snapshot_stress.rs`).
 //!
+//! ## Overlay and commit
+//!
+//! A cold operation (`intern`, `nrm`, `nrm_neg`, substitution,
+//! β-instantiation) does not take a lock per new node. Every node it
+//! creates goes to the worker's **overlay** under a *tagged* id (top bit
+//! set, see [`TypeId::is_overlay`]), hash-consed there first. A node
+//! with an overlay child cannot be in the arena yet, so it skips the
+//! index probe.
+//!
+//! When the operation ends ([`StoreOps::settle`]) the worker **commits**
+//! the overlay under **one** writer-mutex acquisition. In creation order
+//! (children precede parents), each node's children are rewritten to
+//! their public ids and the node is probed in the index again (a sibling
+//! may have committed it meanwhile, or an equal node may come earlier
+//! in this very commit); nodes found nowhere are appended. The worker
+//! then writes the operation's deferred memo entries into the arena,
+//! rewrites its hints and the operation's results through the returned
+//! remap, and empties the overlay, so a non-stale worker never hands
+//! out an overlay id.
+//!
 //! ## Publication protocol
 //!
-//! Writers never mutate shared state in place:
-//!
-//! 1. **Cold intern** (`intern_slow`): take the writer mutex, re-read
-//!    the current snapshot (its generation is frozen while the mutex is
-//!    held, because installs require the same mutex), re-check the
-//!    snapshot *and* the pending delta for a racing intern of the same
-//!    node, and only then append to the arena and record the node in the
-//!    pending delta. This re-check-under-lock is what makes arena ids
-//!    unique and globally agreed.
-//! 2. **Memo publication** (`publish_deltas`): take the writer mutex,
-//!    fold the worker's `nrm±` deltas into the pending delta, and
-//!    **install**: build a new `Snapshot` by pushing the pending delta
-//!    as a fresh layer (merging top layers while a layer is at least
-//!    half its elder's size, so lookup depth stays O(log n) and inserts
-//!    amortize to O(1)), swap it into place, then bump the generation
-//!    counter. Snapshots are immutable after install: an entry present
-//!    in generation g is present, with the same value, in every
-//!    generation ≥ g. Workers may install early (without an explicit
-//!    publish) once the pending delta exceeds a small threshold, so cold
-//!    interns become visible to siblings promptly.
-//!
-//! Memo values can race benignly: `nrm` is deterministic and ids are
-//! global, so two workers computing `nrm(id)` independently record the
-//! *same* entry; installs overwrite equals with equals.
+//! * **Nodes** become visible to every worker when their commit inserts
+//!   them into the index.
+//! * **Memo entries**: a normal form whose ids are all public is
+//!   written into its node's slot at once (compare-and-set from empty,
+//!   lock-free); one that names overlay ids waits for the commit. `nrm`
+//!   is deterministic and ids are canonical, so two workers computing
+//!   `nrm(id)` independently write the *same* value: a memo cell never
+//!   changes once set.
+//! * **Generations**: [`WorkerStore::publish`], which the serving engine
+//!   calls once per batch, folds the worker's counters into the store's
+//!   statistics and, when the worker committed nodes since its last
+//!   publish, counts a new store *generation* (a publication, with a
+//!   `snapshot_install` trace event). Generations stay flat across a
+//!   warm replay.
 //!
 //! ## Memory ordering invariants
 //!
-//! * Arena slots are `OnceLock`s: the writer's `set` (release) pairs
-//!   with every reader's `get` (acquire), so a reader that can name an
-//!   id sees its node fully initialized. Ids only travel between
-//!   threads through synchronizing edges (a snapshot install, the writer
-//!   mutex, a channel send), each of which happens-after the slot write
-//!   on the writer thread.
-//! * The arena's `committed` length is released by the writer after the
-//!   slot write and acquired by [`SharedStore::len`]; a length you
-//!   observe is a prefix you can read.
-//! * The generation counter is stored with release ordering *after* the
-//!   new snapshot is swapped in, and probed with acquire ordering; a
-//!   worker that observes generation g through the probe will find a
-//!   snapshot with generation ≥ g when it refreshes.
+//! * A slot's node is written through a `OnceLock`: the writer's `set`
+//!   (release) pairs with every reader's `get` (acquire).
+//! * An index bucket is stored (release) after its slot is written and
+//!   loaded (acquire) before the slot is read; a new index level is
+//!   filled before the level counter is raised (release) and read after
+//!   it is loaded (acquire).
+//! * A memo cell is set (release) after the slot its value names is
+//!   written, and read with acquire ordering.
+//!
+//! Ids otherwise travel between threads only through synchronizing
+//! edges (the writer mutex, a channel send, a memo cell), each of which
+//! happens-after the slot write on the writer thread.
 //!
 //! ## Id agreement
 //!
-//! All workers of one [`SharedStore`] agree on ids: a node is appended
-//! to the arena exactly once (under the writer mutex, after the
-//! re-check), and a worker copies shared nodes into its mirror *in
-//! arena order*, so the mirror's hash-consing assigns every node the
-//! same index it has globally. Children always precede parents in an
-//! append-only arena, so syncing a prefix keeps the mirror closed under
-//! sub-ids.
+//! All workers of one [`SharedStore`] agree on every id they hand out:
+//! a node enters the arena exactly once (under the writer mutex, after
+//! the re-probe), and every worker reads nodes from that one arena. An
+//! overlay id is provisional: one operation may hold two overlay ids
+//! for one node, or an overlay id for a node a sibling committed after
+//! the probe. The commit maps all of them to the one arena id, and only
+//! committed ids leave an operation, so results are compared only after
+//! the commit (see [`StoreOps::equivalent_ids`]).
 //!
 //! The id-level algorithms themselves (`intern`, `nrm⁺`/`nrm⁻`,
-//! substitution, β-instantiation) are the *same code* as the
+//! substitution, β-instantiation, extraction) are the *same code* as the
 //! single-threaded store — both implement [`StoreOps`] — so verdicts
 //! cannot drift between the two.
 //!
 //! ## Compaction: epochs and the remap/install protocol
 //!
-//! The arena and the snapshot layers are append-only, so a long-lived
-//! store grows without bound under diverse traffic.
-//! [`SharedStore::compact`] bounds it. A compaction runs entirely
-//! behind the writer mutex and **never blocks warm readers**:
+//! The arena and its index are append-only, so a long-lived store grows
+//! without bound under diverse traffic. [`SharedStore::compact`] bounds
+//! it. A compaction runs entirely behind the writer mutex and **never
+//! blocks warm readers**:
 //!
-//! 1. **Flush**: install the pending delta, so the snapshot is the
-//!    complete truth.
-//! 2. **Mark**: compute the live set — every id reachable from the
+//! 1. **Mark**: compute the live set — every id reachable from the
 //!    caller's retained `roots` through node children, plus (to keep
 //!    warm state warm) the memoized `nrm⁺`/`nrm⁻` values of live ids,
 //!    transitively to a fixpoint.
-//! 3. **Rebuild**: copy live nodes into a *fresh* arena in old-index
-//!    order — children precede parents in an append-only arena, so
-//!    every child is remapped before its parent needs it, and the new
-//!    arena is again topological. Rebuild a single-layer intern map
-//!    and remapped `nrm±` tables (an entry survives iff its key and
-//!    value are both live).
-//! 4. **Install**: publish the rebuilt state as a new `Snapshot`
-//!    with `generation + 1` and **`epoch + 1`**. The generation
-//!    counter stays monotone across compactions, so the lock-free
-//!    staleness probe keeps working unchanged.
+//! 2. **Rebuild**: copy live nodes into a *fresh* arena and index in
+//!    old-index order — children precede parents in an append-only
+//!    arena, so every child is remapped before its parent needs it, and
+//!    the new arena is again topological. Memo cells come along
+//!    remapped (their values are live by the marking closure).
+//! 3. **Install**: make the new arena current with `epoch + 1` and a
+//!    new generation.
 //!
-//! Ids are only meaningful *within* an epoch. Every snapshot owns an
-//! `Arc` of its epoch's arena, and a worker pins the epoch it attached
-//! to: its cached snapshot (and therefore its arena) stays alive and
-//! self-consistent no matter how many compactions happen underneath.
-//! A worker that discovers the store has moved to a newer epoch marks
-//! itself **stale** instead of adopting mixed-epoch state: stale
-//! workers keep answering correctly from their pinned snapshot, intern
-//! cold nodes privately into their local mirror (never published), and
-//! have their memo deltas dropped by the epoch check in
-//! `publish_deltas` / `intern_slow`. Staleness ends at an explicit
-//! [`WorkerStore::repin`] — a deliberate boundary (the serving engine
-//! calls it between request batches) where the worker adopts the
-//! newest epoch, resets its mirror, and the caller drops any
-//! id-keyed caches (using the remap table [`CompactionOutcome`]
-//! hands back, or by recomputing).
+//! Ids are only meaningful *within* an epoch. A worker pins the arena
+//! of the epoch it attached to, and that arena stays alive and
+//! self-consistent no matter how many compactions happen underneath. A
+//! worker that discovers the store has moved to a newer epoch — when a
+//! commit or a publish finds a new epoch — marks itself **stale**
+//! instead of adopting mixed-epoch state. No commit appends to a
+//! retired arena, so its index is complete and frozen, and the stale
+//! worker keeps answering correctly on its own: the nodes it creates
+//! stay in its overlay for good (their tagged ids cannot collide with
+//! any arena id), and its memo entries stay private. The operation
+//! whose commit found the new epoch is run again from scratch, since its
+//! overlay was built while siblings could still add to the index.
+//! Staleness ends at an explicit [`WorkerStore::repin`] — a deliberate
+//! boundary (the serving engine calls it between request batches) where
+//! the worker adopts the newest epoch, drops all private state, and the
+//! caller drops any id-keyed caches (using the remap table
+//! [`CompactionOutcome`] hands back, or by recomputing).
 //!
 //! Because the live set closes over memo values, a compaction retains
-//! the warm working set: a fully-warm replay against a compacted
-//! store still takes **zero** locks (see `tests/concurrent_store.rs`).
+//! the warm working set: a fully-warm replay against a compacted store
+//! still takes **zero** locks (see `tests/concurrent_store.rs`).
+//!
+//! ## Memory accounting
+//!
+//! [`StoreStats::live_bytes`] — the quantity `--max-store-bytes` and
+//! the per-tenant byte quota bound — covers the arena, its index and
+//! every worker's private state (overlay, private memo entries, hints,
+//! extraction memo). Workers report their private bytes at each
+//! publish, so the figure trails by at most one batch.
 
-use crate::store::{StoreOps, TNode, TypeId, TypeStore};
+use crate::store::{compute_needs, for_each_child, is_hint_worthy, map_children};
+use crate::store::{StoreOps, TNode, TypeId};
 use crate::symbol::Symbol;
 use crate::types::Type;
 use algst_obs::{Field, Histogram, Level, Span, TraceSink};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
-use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::hash::BuildHasher;
+use std::mem::size_of;
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// Delta size at which a worker auto-publishes its memo entries.
-const PUBLISH_THRESHOLD: usize = 1024;
-
-/// Pending (uninstalled) writer-side entries at which a cold intern
-/// installs a snapshot on its own, so fresh nodes reach siblings even
-/// between explicit publishes.
-const INSTALL_THRESHOLD: usize = 64;
 
 /// log2 of the first arena segment's slot count.
 const SEG0_BITS: u32 = 10;
@@ -167,23 +170,86 @@ const SEG0_BITS: u32 = 10;
 /// `u32` id space with room to spare.
 const SPINE: usize = 22;
 
+/// log2 of the first index level's bucket count.
+const LEVEL0_BITS: u32 = 10;
+
+/// Number of doubling index levels: the last holds 2^32 buckets, room
+/// for every arena id at the load bound.
+const LEVELS: usize = 23;
+
+/// An empty memo cell (no arena id reaches it: ids stay below 2^31).
+const NO_MEMO: u32 = u32::MAX;
+
 // ------------------------------------------------------------- arena
 
-/// Lock-free append-only node arena. Slots are written exactly once
-/// (before their index is ever published) and segments double in size,
-/// so a slot's address never moves and readers need no lock.
+/// One arena entry: a node, its `needs_binders` measure
+/// (`1 + max escaping de-Bruijn index`), which substitution reads, and
+/// its memoized normal forms.
+struct Slot {
+    node: TNode,
+    needs: u32,
+    /// `nrm⁺` of this node, or [`NO_MEMO`]. Set at most once.
+    pos: AtomicU32,
+    /// `nrm⁻` of this node, or [`NO_MEMO`]. Set at most once.
+    neg: AtomicU32,
+}
+
+impl Slot {
+    fn new(node: TNode, needs: u32) -> Slot {
+        Slot {
+            node,
+            needs,
+            pos: AtomicU32::new(NO_MEMO),
+            neg: AtomicU32::new(NO_MEMO),
+        }
+    }
+
+    fn cell(&self, polarity: Polarity) -> &AtomicU32 {
+        match polarity {
+            Polarity::Pos => &self.pos,
+            Polarity::Neg => &self.neg,
+        }
+    }
+
+    /// The memoized normal form of this node, if set (one acquire load).
+    fn memo(&self, polarity: Polarity) -> Option<TypeId> {
+        match self.cell(polarity).load(Ordering::Acquire) {
+            NO_MEMO => None,
+            nf => Some(TypeId::from_index(nf as usize)),
+        }
+    }
+}
+
+/// Which normalization function a memo entry belongs to.
+#[derive(Clone, Copy)]
+enum Polarity {
+    /// `nrm⁺`.
+    Pos,
+    /// `nrm⁻`.
+    Neg,
+}
+
+/// One epoch's id space: a lock-free append-only node arena plus its
+/// hash-consing index. Slots are written exactly once (before their
+/// index is ever handed out) and segments double in size, so a slot's
+/// address never moves and readers need no lock.
 struct Arena {
-    spine: [OnceLock<Box<[OnceLock<TNode>]>>; SPINE],
+    /// The compaction epoch this arena belongs to.
+    epoch: u64,
+    spine: [OnceLock<Box<[OnceLock<Slot>]>>; SPINE],
     /// Slots fully initialized. Written (release) only under the
     /// writer mutex; read (acquire) by anyone.
     committed: AtomicUsize,
+    index: Index,
 }
 
 impl Arena {
-    fn new() -> Arena {
+    fn new(epoch: u64) -> Arena {
         Arena {
+            epoch,
             spine: [const { OnceLock::new() }; SPINE],
             committed: AtomicUsize::new(0),
+            index: Index::new(),
         }
     }
 
@@ -203,7 +269,7 @@ impl Arena {
 
     /// Reads a committed slot. Lock-free: two acquire loads (segment
     /// pointer, slot).
-    fn get(&self, i: usize) -> &TNode {
+    fn get(&self, i: usize) -> &Slot {
         let (seg, off) = Self::locate(i);
         self.spine[seg]
             .get()
@@ -212,9 +278,26 @@ impl Arena {
             .expect("arena slot missing for committed id")
     }
 
-    /// Appends a node. Caller must hold the writer mutex (single
-    /// writer at a time).
-    fn push(&self, node: TNode) -> usize {
+    /// The id of `node`, if the index has it. Lock-free.
+    fn lookup(&self, node: &TNode) -> Option<TypeId> {
+        self.index.find(self, node, self.index.tag(node))
+    }
+
+    /// Hash-conses `node` (children already ids of this arena): the
+    /// existing id, or a fresh slot. Caller holds the writer mutex.
+    fn intern_locked(&self, node: TNode, needs: u32) -> (TypeId, bool) {
+        debug_assert!(
+            {
+                let mut overlay_child = false;
+                for_each_child(&node, |c| overlay_child |= c.is_overlay());
+                !overlay_child
+            },
+            "an overlay id reached the arena"
+        );
+        let tag = self.index.tag(&node);
+        if let Some(id) = self.index.find(self, &node, tag) {
+            return (id, false);
+        }
         let i = self.committed.load(Ordering::Relaxed);
         let (seg, off) = Self::locate(i);
         let segment = self.spine[seg].get_or_init(|| {
@@ -222,171 +305,165 @@ impl Arena {
                 .map(|_| OnceLock::new())
                 .collect()
         });
-        if segment[off].set(node).is_err() {
+        if segment[off].set(Slot::new(node, needs)).is_err() {
             unreachable!("arena slot {i} written twice");
         }
         self.committed.store(i + 1, Ordering::Release);
-        i
+        let id = TypeId::from_index(i);
+        self.index.insert(tag, id);
+        (id, true)
     }
 }
 
-// ------------------------------------------------------------ layers
+// ------------------------------------------------------------- index
 
-/// A frozen stack of hash-map layers, newest last. Lookups scan
-/// newest→oldest; pushing a delta merges top layers while one is at
-/// least half its elder's size (LSM-style), keeping depth O(log n).
-struct Layers<K, V> {
-    layers: Vec<Arc<HashMap<K, V>>>,
+/// Lock-free hash-consing index of one arena: node → id. Open
+/// addressing with linear probing; a bucket packs a 32-bit hash tag
+/// (high half) with `id + 1` (low half, 0 = empty). One writer at a
+/// time (the writer mutex) inserts; anyone probes.
+///
+/// The index grows by levels: when the current level passes its load
+/// bound, the writer copies it into a fresh level of twice the size and
+/// then raises `top`. A reader probes the level `top` named when it
+/// looked; if the writer has grown the index since, the reader may miss
+/// a node inserted into the newer level, which only sends the node to
+/// the reader's overlay, where its commit finds it. Superseded levels
+/// are kept for such readers until the arena is dropped.
+struct Index {
+    levels: [OnceLock<Box<[AtomicU64]>>; LEVELS],
+    /// The level holding every entry. Raised (release) by the writer.
+    top: AtomicUsize,
+    /// Entries. Writer-only (under the writer mutex).
+    len: AtomicUsize,
+    hasher: RandomState,
 }
 
-impl<K, V> Clone for Layers<K, V> {
-    fn clone(&self) -> Layers<K, V> {
-        Layers {
-            layers: self.layers.clone(),
-        }
-    }
-}
-
-impl<K: Eq + Hash + Clone, V: Copy> Layers<K, V> {
-    fn new() -> Layers<K, V> {
-        Layers { layers: Vec::new() }
-    }
-
-    fn get(&self, k: &K) -> Option<V> {
-        self.layers.iter().rev().find_map(|m| m.get(k).copied())
+impl Index {
+    fn new() -> Index {
+        let index = Index {
+            levels: [const { OnceLock::new() }; LEVELS],
+            top: AtomicUsize::new(0),
+            len: AtomicUsize::new(0),
+            hasher: RandomState::new(),
+        };
+        let _ = index.levels[0].set(empty_level(LEVEL0_BITS));
+        index
     }
 
-    fn len(&self) -> usize {
-        self.layers.iter().map(|m| m.len()).sum()
+    fn tag(&self, node: &TNode) -> u32 {
+        self.hasher.hash_one(node) as u32
     }
 
-    /// A new stack with `delta` as the top layer, compacted.
-    fn with_delta(&self, delta: HashMap<K, V>) -> Layers<K, V> {
-        if delta.is_empty() {
-            return self.clone();
-        }
-        let mut layers = self.layers.clone();
-        layers.push(Arc::new(delta));
-        while layers.len() >= 2 {
-            let top = layers[layers.len() - 1].len();
-            let below = layers[layers.len() - 2].len();
-            if top * 2 < below {
-                break;
+    fn level(&self, k: usize) -> &[AtomicU64] {
+        self.levels[k].get().expect("index level missing")
+    }
+
+    fn find(&self, arena: &Arena, node: &TNode, tag: u32) -> Option<TypeId> {
+        let level = self.level(self.top.load(Ordering::Acquire));
+        let mask = level.len() - 1;
+        let mut i = tag as usize & mask;
+        loop {
+            let bucket = level[i].load(Ordering::Acquire);
+            if bucket == 0 {
+                return None;
             }
-            let top = layers.pop().unwrap();
-            let below = layers.pop().unwrap();
-            // `below` may still be shared with older snapshots, so merge
-            // into a copy; newer entries win (they are equal anyway).
-            let mut merged = HashMap::clone(&below);
-            merged.extend(top.iter().map(|(k, v)| (k.clone(), *v)));
-            layers.push(Arc::new(merged));
+            if (bucket >> 32) as u32 == tag {
+                let id = TypeId::from_index((bucket as u32 - 1) as usize);
+                if arena.get(id.index()).node == *node {
+                    return Some(id);
+                }
+            }
+            i = (i + 1) & mask;
         }
-        Layers { layers }
     }
+
+    /// Adds `id` under `tag`, growing first if the level would pass
+    /// three quarters full. Caller holds the writer mutex.
+    fn insert(&self, tag: u32, id: TypeId) {
+        let len = self.len.load(Ordering::Relaxed) + 1;
+        let mut top = self.top.load(Ordering::Relaxed);
+        if len * 4 > self.level(top).len() * 3 {
+            let bigger = empty_level(LEVEL0_BITS + top as u32 + 1);
+            for bucket in self.level(top) {
+                let bucket = bucket.load(Ordering::Relaxed);
+                if bucket != 0 {
+                    place(&bigger, bucket);
+                }
+            }
+            top += 1;
+            let _ = self.levels[top].set(bigger);
+            self.top.store(top, Ordering::Release);
+        }
+        place(
+            self.level(top),
+            (u64::from(tag) << 32) | (id.index() as u64 + 1),
+        );
+        self.len.store(len, Ordering::Relaxed);
+    }
+
+    /// Estimated bytes of every level allocated so far.
+    fn bytes(&self) -> u64 {
+        let top = self.top.load(Ordering::Relaxed);
+        (0..=top)
+            .map(|k| std::mem::size_of_val(self.level(k)) as u64)
+            .sum()
+    }
+}
+
+fn empty_level(bits: u32) -> Box<[AtomicU64]> {
+    (0..1usize << bits).map(|_| AtomicU64::new(0)).collect()
+}
+
+/// Stores `bucket` in the first free bucket of its probe sequence.
+fn place(level: &[AtomicU64], bucket: u64) {
+    let mask = level.len() - 1;
+    let mut i = (bucket >> 32) as usize & mask;
+    while level[i].load(Ordering::Relaxed) != 0 {
+        i = (i + 1) & mask;
+    }
+    level[i].store(bucket, Ordering::Release);
 }
 
 // ------------------------------------------------------- accounting
 
-/// Estimated heap footprint of one arena node (shallow struct plus the
-/// child vectors of `Proto`/`Data`). An estimate, not an allocator
-/// census — it only has to be monotone in real usage so the bounded-
-/// memory policy has a stable trigger.
+/// Estimated heap footprint of one arena node (slot plus the child
+/// vectors of `Proto`/`Data`). An estimate, not an allocator census —
+/// it only has to be monotone in real usage so the bounded-memory
+/// policy has a stable trigger.
 fn node_bytes(node: &TNode) -> u64 {
     let heap = match node {
-        TNode::Proto(_, args) | TNode::Data(_, args) => args.len() * std::mem::size_of::<TypeId>(),
+        TNode::Proto(_, args) | TNode::Data(_, args) => args.len() * size_of::<TypeId>(),
         _ => 0,
     };
-    (std::mem::size_of::<TNode>() + heap) as u64
+    (size_of::<OnceLock<Slot>>() + heap) as u64
 }
 
-/// Estimated per-entry cost of the snapshot hash maps (key + value +
-/// table bookkeeping).
-const MAP_ENTRY_OVERHEAD: u64 = 16;
+/// Estimated per-entry cost of a hash map (key + value + table
+/// bookkeeping come on top).
+const MAP_ENTRY_OVERHEAD: usize = 16;
 
-// ---------------------------------------------------------- snapshot
-
-/// One immutable, generation-stamped view of the arena and the intern
-/// and memo tables. Never mutated after install. Within one epoch the
-/// prefix property holds: every entry of generation g is present
-/// unchanged in all generations ≥ g of the same epoch. A compaction
-/// starts a new epoch with a fresh arena and rebuilt tables.
-struct Snapshot {
-    generation: u64,
-    /// Compaction epoch. Ids are only meaningful within an epoch; all
-    /// snapshots of one epoch share one arena `Arc`.
-    epoch: u64,
-    /// Arena length at install time; every id in the tables is below it.
-    nodes_len: usize,
-    /// This epoch's id space. Kept alive by every worker pinned to the
-    /// epoch, so compaction never invalidates an id under a reader.
-    arena: Arc<Arena>,
-    intern: Layers<TNode, TypeId>,
-    pos: Layers<TypeId, TypeId>,
-    neg: Layers<TypeId, TypeId>,
-}
-
-impl Snapshot {
-    fn empty() -> Snapshot {
-        Snapshot {
-            generation: 0,
-            epoch: 0,
-            nodes_len: 0,
-            arena: Arc::new(Arena::new()),
-            intern: Layers::new(),
-            pos: Layers::new(),
-            neg: Layers::new(),
-        }
-    }
-
-    /// Estimated heap footprint of the snapshot's map layers.
-    fn table_bytes(&self) -> u64 {
-        let node = std::mem::size_of::<TNode>() as u64;
-        let id = std::mem::size_of::<TypeId>() as u64;
-        let intern = self.intern.len() as u64 * (node + id + MAP_ENTRY_OVERHEAD);
-        let memo = (self.pos.len() + self.neg.len()) as u64 * (2 * id + MAP_ENTRY_OVERHEAD);
-        intern + memo
-    }
-}
-
-/// Writer-side entries not yet installed into a snapshot. Guarded by
-/// the writer mutex.
-#[derive(Default)]
-struct Pending {
-    intern: HashMap<TNode, TypeId>,
-    pos: HashMap<TypeId, TypeId>,
-    neg: HashMap<TypeId, TypeId>,
-}
-
-impl Pending {
-    fn len(&self) -> usize {
-        self.intern.len() + self.pos.len() + self.neg.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
+/// Estimated bytes of one extracted tree node (the node plus its `Arc`
+/// header).
+const TREE_NODE_BYTES: u64 = size_of::<Type>() as u64 + 16;
 
 // ------------------------------------------------------------- stats
 
 #[derive(Default)]
 struct Counters {
-    /// `nrm` memo hits answered from a worker's local mirror.
+    /// `nrm` memo hits answered from a worker's private state.
     nrm_local_hits: AtomicU64,
-    /// `nrm` memo hits answered by a snapshot layer (then cached locally).
-    nrm_snapshot_hits: AtomicU64,
+    /// `nrm` memo hits answered by an arena memo cell.
+    nrm_shared_hits: AtomicU64,
     /// `nrm` memo misses (a normal form actually computed).
     nrm_misses: AtomicU64,
-    /// Times a worker published non-empty deltas.
+    /// Publishes of workers that had committed nodes.
     publishes: AtomicU64,
     /// Workers ever attached.
     workers: AtomicU64,
-    /// Snapshot generations installed.
-    installs: AtomicU64,
-    /// Cold interns that entered the writer mutex.
+    /// Overlay commits (each one writer-mutex acquisition).
     slow_path: AtomicU64,
-    /// Every lock acquisition on the store (writer mutex + snapshot
-    /// RwLock, reads and writes). Zero across a warm replay.
+    /// Every acquisition of the store's writer mutex. Zero across a
+    /// warm replay.
     lock_acquisitions: AtomicU64,
     /// Completed [`SharedStore::compact`] passes.
     compactions: AtomicU64,
@@ -394,39 +471,47 @@ struct Counters {
     reclaimed_bytes: AtomicU64,
 }
 
-/// Lock-free mirrors of the current snapshot's sizes, so `stats()` and
-/// the bounded-memory policy check ([`SharedStore::live_bytes`]) never
-/// touch a lock. Written only under the writer mutex (at arena pushes,
-/// installs, and compactions); read with relaxed loads by anyone.
+/// Lock-free mirrors of the store's sizes, so `stats()` and the
+/// bounded-memory policy check ([`SharedStore::live_bytes`]) never
+/// touch a lock. Node and index sizes are written under the writer
+/// mutex (at commits and compactions), memo counts when a cell is set,
+/// and `worker_bytes` by each worker at publish. All are read with
+/// relaxed loads by anyone.
 #[derive(Default)]
 struct Sizes {
     /// Live nodes in the current epoch's arena.
     nodes: AtomicUsize,
     /// Estimated bytes of those nodes.
     arena_bytes: AtomicU64,
-    /// Estimated bytes of the current snapshot's map layers.
-    snapshot_bytes: AtomicU64,
-    /// Entries across the current snapshot's intern layers.
-    intern_entries: AtomicU64,
-    /// Entries across the current snapshot's `nrm⁺` + `nrm⁻` layers.
+    /// Estimated bytes of the current arena's index.
+    index_bytes: AtomicU64,
+    /// Memo cells set in the current epoch's arena.
     memo_entries: AtomicU64,
+    /// Estimated bytes of every attached worker's private state, as of
+    /// each worker's last publish.
+    worker_bytes: AtomicU64,
 }
 
 /// A point-in-time snapshot of store-wide statistics, for the server's
 /// `stats` op and `--stats-on-exit`. Worker-side counters are folded in
 /// on every publish, so numbers trail the live state by at most one
-/// unpublished delta per worker.
+/// batch per worker.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StoreStats {
     /// Distinct hash-consed nodes in the current epoch's arena.
     pub nodes: u64,
-    /// Estimated bytes held by the arena's live nodes.
+    /// Estimated bytes held by the arena's live nodes (memo cells
+    /// included).
     pub arena_bytes: u64,
-    /// Estimated bytes held by the current snapshot's map layers.
+    /// Estimated bytes held by the arena's hash-consing index.
     pub snapshot_bytes: u64,
-    /// Entries across the current snapshot's intern layers.
+    /// Estimated bytes of worker-private state (overlays, private memo
+    /// entries, hints, extraction memos), as of each worker's last
+    /// publish.
+    pub worker_bytes: u64,
+    /// Entries in the arena's hash-consing index (equal to `nodes`).
     pub intern_entries: u64,
-    /// Entries across the current snapshot's `nrm⁺` + `nrm⁻` layers.
+    /// `nrm⁺` + `nrm⁻` memo cells set in the current epoch's arena.
     pub memo_entries: u64,
     /// Compaction epoch (0 = never compacted).
     pub epoch: u64,
@@ -434,21 +519,24 @@ pub struct StoreStats {
     pub compactions: u64,
     /// Total estimated bytes reclaimed by compactions.
     pub reclaimed_bytes: u64,
-    /// `nrm⁺`/`nrm⁻` memo hits (local mirror + snapshot layers).
+    /// `nrm⁺`/`nrm⁻` memo hits (worker-private state + arena).
     pub nrm_hits: u64,
-    /// Of those, hits that had to read a snapshot layer.
+    /// Of those, hits read from an arena memo cell.
     pub nrm_shared_hits: u64,
     /// `nrm⁺`/`nrm⁻` computations that found no memo entry.
     pub nrm_misses: u64,
-    /// Non-empty delta publications by workers.
+    /// Publishes of workers that had committed nodes.
     pub publishes: u64,
     /// Workers ever attached to this store.
     pub workers: u64,
-    /// Current snapshot generation (0 = nothing installed yet).
+    /// Current store generation (0 = nothing published yet). A
+    /// generation is counted per publication of committed nodes and
+    /// per compaction; it stays flat across a warm replay.
     pub generation: u64,
-    /// Snapshot generations installed (publishes + threshold installs).
+    /// Generations counted (publications + compactions); equal to
+    /// `generation`, which has no other source.
     pub snapshot_installs: u64,
-    /// Cold interns that took the writer mutex.
+    /// Overlay commits, each of which took the writer mutex once.
     pub slow_path: u64,
     /// Total lock acquisitions on the shared store. A fully-warm
     /// replay adds exactly zero (see `tests/snapshot_stress.rs`).
@@ -456,10 +544,11 @@ pub struct StoreStats {
 }
 
 impl StoreStats {
-    /// Estimated live bytes of the store: arena nodes plus snapshot
-    /// map layers. The quantity the `--max-store-bytes` policy bounds.
+    /// Estimated live bytes of the store: arena nodes, its index and
+    /// worker-private state. The quantity the `--max-store-bytes`
+    /// policy bounds.
     pub fn live_bytes(&self) -> u64 {
-        self.arena_bytes + self.snapshot_bytes
+        self.arena_bytes + self.snapshot_bytes + self.worker_bytes
     }
 
     /// Fraction of `nrm` queries answered from a memo, in `[0, 1]`.
@@ -477,17 +566,16 @@ impl StoreStats {
 /// Observability hooks a store owner (typically the serving engine) may
 /// install with [`SharedStore::install_obs`].
 ///
-/// The hooks live entirely on the store's **cold** paths — the interning
-/// slow path and snapshot installs, both of which already take the
-/// writer mutex and run at microsecond scale — so installing them does
-/// not add a single instruction to warm lock-free reads.
+/// The hooks live entirely on the store's **cold** paths — overlay
+/// commits, publications and compactions — so installing them does not
+/// add a single instruction to warm lock-free reads.
 #[derive(Debug)]
 pub struct StoreObs {
-    /// Latency histogram for [`intern`](StoreOps) slow-path entries
-    /// (mutex + re-probe + arena append, possibly an install).
+    /// Latency histogram for overlay commits (writer mutex + re-probes
+    /// + arena appends).
     pub slow_path_ns: Arc<Histogram>,
-    /// Latency histogram for snapshot installs (delta fold + pointer
-    /// swap).
+    /// Latency histogram for generation installs (publications and
+    /// compactions).
     pub install_ns: Arc<Histogram>,
     /// Event sink; receives a `snapshot_install` event (at
     /// [`Level::Debug`]) for every new generation.
@@ -511,26 +599,23 @@ pub struct CompactionOutcome {
     pub remap: HashMap<TypeId, TypeId>,
 }
 
-/// The process-wide arena + snapshot. Cheap to share (`Arc`); create
+/// The process-wide arena and index. Cheap to share (`Arc`); create
 /// per-thread handles with [`SharedStore::worker`].
 pub struct SharedStore {
-    /// Fast staleness probe: equals `current`'s generation. Stored
-    /// (release) after each install, probed (acquire) lock-free.
+    /// Generations counted so far (publications + compactions).
     generation: AtomicU64,
-    /// Fast epoch probe: equals `current`'s epoch. Lets
-    /// [`WorkerStore::repin`] cost one atomic load when nothing moved.
+    /// Fast epoch probe: equals the current arena's epoch. Lets
+    /// [`WorkerStore::repin`] and publish cost one atomic load when
+    /// nothing moved.
     epoch: AtomicU64,
-    /// The current snapshot (which owns the current epoch's arena).
-    /// Locked only to refresh after a stale probe and to install —
-    /// never on the warm path.
-    current: RwLock<Arc<Snapshot>>,
-    /// Writer mutex: pending delta + arena tail. Cold path only.
-    pending: Mutex<Pending>,
+    /// Writer mutex over the current epoch's arena: serializes appends,
+    /// compactions, and workers attaching or repinning. Never taken on
+    /// the warm path.
+    writer: Mutex<Arc<Arena>>,
     counters: Counters,
     /// Lock-free size mirrors for `stats()` / `live_bytes()`.
     sizes: Sizes,
-    /// Cold-path instrumentation, if an owner installed any. Probed
-    /// only where the writer mutex is already in play.
+    /// Cold-path instrumentation, if an owner installed any.
     obs: OnceLock<StoreObs>,
 }
 
@@ -551,13 +636,17 @@ impl Default for SharedStore {
 
 impl SharedStore {
     pub fn new() -> SharedStore {
+        let arena = Arc::new(Arena::new(0));
+        let sizes = Sizes::default();
+        sizes
+            .index_bytes
+            .store(arena.index.bytes(), Ordering::Relaxed);
         SharedStore {
             generation: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
-            current: RwLock::new(Arc::new(Snapshot::empty())),
-            pending: Mutex::new(Pending::default()),
+            writer: Mutex::new(arena),
             counters: Counters::default(),
-            sizes: Sizes::default(),
+            sizes,
             obs: OnceLock::new(),
         }
     }
@@ -577,18 +666,23 @@ impl SharedStore {
     }
 
     /// Attaches a new per-thread worker handle (one counted lock, to
-    /// grab the current snapshot).
+    /// pin the current arena).
     pub fn worker(self: &Arc<Self>) -> WorkerStore {
         self.counters.workers.fetch_add(1, Ordering::Relaxed);
         WorkerStore {
-            snapshot: self.load_snapshot(),
+            arena: self.current_arena(),
             shared: Arc::clone(self),
-            local: TypeStore::new(),
-            delta_pos: Vec::new(),
-            delta_neg: Vec::new(),
+            overlay: Overlay::default(),
+            private_pos: HashMap::new(),
+            private_neg: HashMap::new(),
+            hints: HashMap::new(),
+            extract_memo: HashMap::new(),
+            extract_bytes: 0,
+            committed: false,
+            reported_bytes: 0,
             stale: false,
             local_hits: 0,
-            snapshot_hits: 0,
+            shared_hits: 0,
             misses: 0,
         }
     }
@@ -607,35 +701,39 @@ impl SharedStore {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// Estimated live bytes (arena nodes + snapshot map layers). Two
-    /// relaxed atomic loads — the bounded-memory policy can call this
-    /// per request without touching the warm path.
+    /// Estimated live bytes (arena nodes + index + worker-private
+    /// state). Three relaxed atomic loads — the bounded-memory policy
+    /// can call this per request without touching the warm path.
     pub fn live_bytes(&self) -> u64 {
         self.sizes.arena_bytes.load(Ordering::Relaxed)
-            + self.sizes.snapshot_bytes.load(Ordering::Relaxed)
+            + self.sizes.index_bytes.load(Ordering::Relaxed)
+            + self.sizes.worker_bytes.load(Ordering::Relaxed)
     }
 
     /// Snapshot of the store-wide statistics (lock-free).
     pub fn stats(&self) -> StoreStats {
         let c = &self.counters;
         let z = &self.sizes;
+        let nodes = self.len() as u64;
+        let generation = self.generation.load(Ordering::Relaxed);
         StoreStats {
-            nodes: self.len() as u64,
+            nodes,
             arena_bytes: z.arena_bytes.load(Ordering::Relaxed),
-            snapshot_bytes: z.snapshot_bytes.load(Ordering::Relaxed),
-            intern_entries: z.intern_entries.load(Ordering::Relaxed),
+            snapshot_bytes: z.index_bytes.load(Ordering::Relaxed),
+            worker_bytes: z.worker_bytes.load(Ordering::Relaxed),
+            intern_entries: nodes,
             memo_entries: z.memo_entries.load(Ordering::Relaxed),
             epoch: self.epoch.load(Ordering::Relaxed),
             compactions: c.compactions.load(Ordering::Relaxed),
             reclaimed_bytes: c.reclaimed_bytes.load(Ordering::Relaxed),
             nrm_hits: c.nrm_local_hits.load(Ordering::Relaxed)
-                + c.nrm_snapshot_hits.load(Ordering::Relaxed),
-            nrm_shared_hits: c.nrm_snapshot_hits.load(Ordering::Relaxed),
+                + c.nrm_shared_hits.load(Ordering::Relaxed),
+            nrm_shared_hits: c.nrm_shared_hits.load(Ordering::Relaxed),
             nrm_misses: c.nrm_misses.load(Ordering::Relaxed),
             publishes: c.publishes.load(Ordering::Relaxed),
             workers: c.workers.load(Ordering::Relaxed),
-            generation: self.generation.load(Ordering::Relaxed),
-            snapshot_installs: c.installs.load(Ordering::Relaxed),
+            generation,
+            snapshot_installs: generation,
             slow_path: c.slow_path.load(Ordering::Relaxed),
             lock_acquisitions: c.lock_acquisitions.load(Ordering::Relaxed),
         }
@@ -647,40 +745,32 @@ impl SharedStore {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Reads the current snapshot (one counted read-lock).
-    fn load_snapshot(&self) -> Arc<Snapshot> {
+    /// The current epoch's arena (one counted lock).
+    fn current_arena(&self) -> Arc<Arena> {
         self.count_lock();
-        Arc::clone(&self.current.read())
+        Arc::clone(&self.writer.lock())
     }
 
-    /// Installs the pending delta as a new generation. Caller holds the
-    /// writer mutex; `base` must be the current snapshot (its generation
-    /// cannot move while the mutex is held).
-    fn install_locked(&self, pending: &mut Pending, base: &Snapshot) -> Arc<Snapshot> {
-        let span = self.obs.get().map(|_| Span::begin());
-        let (delta_intern, delta_memo) = (
-            pending.intern.len() as u64,
-            (pending.pos.len() + pending.neg.len()) as u64,
-        );
-        let next = Arc::new(Snapshot {
-            generation: base.generation + 1,
-            epoch: base.epoch,
-            nodes_len: base.arena.len(),
-            arena: Arc::clone(&base.arena),
-            intern: base.intern.with_delta(std::mem::take(&mut pending.intern)),
-            pos: base.pos.with_delta(std::mem::take(&mut pending.pos)),
-            neg: base.neg.with_delta(std::mem::take(&mut pending.neg)),
-        });
-        debug_assert!(
-            next.intern.len() <= next.nodes_len,
-            "snapshot names an id beyond the arena"
-        );
-        self.record_sizes(&next);
-        self.count_lock();
-        *self.current.write() = Arc::clone(&next);
-        // Release: pairs with the acquire probe in `WorkerStore::refresh`.
-        self.generation.store(next.generation, Ordering::Release);
-        self.counters.installs.fetch_add(1, Ordering::Relaxed);
+    /// Sets a memo cell of `slot` in `arena`. Lock-free; cold path
+    /// only. A cell already set holds the same value: `nrm` is
+    /// deterministic and ids are canonical.
+    fn set_memo(&self, arena: &Arena, id: TypeId, polarity: Polarity, nf: TypeId) {
+        debug_assert!(!nf.is_overlay(), "an overlay id reached the arena");
+        let nf = nf.index() as u32;
+        let cell = arena.get(id.index()).cell(polarity);
+        match cell.compare_exchange(NO_MEMO, nf, Ordering::Release, Ordering::Relaxed) {
+            Ok(_) if arena.epoch == self.epoch.load(Ordering::Relaxed) => {
+                self.sizes.memo_entries.fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(_) => {}
+            Err(prev) => debug_assert_eq!(prev, nf, "a memo cell changed"),
+        }
+    }
+
+    /// Counts a new generation: a publication of committed nodes or a
+    /// compaction. Cold path only.
+    fn install(&self, span: Option<Span>, nodes: usize) {
+        let generation = self.generation.fetch_add(1, Ordering::Relaxed) + 1;
         if let (Some(obs), Some(span)) = (self.obs.get(), span) {
             let ns = span.elapsed_ns();
             obs.install_ns.record(ns);
@@ -689,123 +779,72 @@ impl SharedStore {
                     Level::Debug,
                     "snapshot_install",
                     &[
-                        ("generation", Field::U64(next.generation)),
-                        ("nodes", Field::U64(next.nodes_len as u64)),
-                        ("delta_intern", Field::U64(delta_intern)),
-                        ("delta_memo", Field::U64(delta_memo)),
+                        ("generation", Field::U64(generation)),
+                        ("nodes", Field::U64(nodes as u64)),
                         ("install_us", Field::F64(ns as f64 / 1_000.0)),
                     ],
                 );
             }
         }
-        next
     }
 
-    /// Refreshes the lock-free size mirrors from a just-installed
-    /// snapshot. Caller holds the writer mutex.
-    fn record_sizes(&self, snap: &Snapshot) {
-        let z = &self.sizes;
-        z.snapshot_bytes
-            .store(snap.table_bytes(), Ordering::Relaxed);
-        z.intern_entries
-            .store(snap.intern.len() as u64, Ordering::Relaxed);
-        z.memo_entries
-            .store((snap.pos.len() + snap.neg.len()) as u64, Ordering::Relaxed);
-    }
-
-    /// Cold interning slow path: the only place nodes are appended.
-    /// Returns the id plus the snapshot the decision was made against
-    /// (possibly newer than the caller's) — or `None` when the store
-    /// has moved to a newer epoch than `epoch`, in which case the
-    /// caller's ids no longer name this store's arena and it must go
-    /// local-private (see [`WorkerStore`] staleness).
-    fn intern_slow(&self, node: &TNode, epoch: u64) -> Option<(TypeId, Arc<Snapshot>)> {
+    /// Commits a worker's overlay under one writer-mutex acquisition:
+    /// the only place nodes are appended outside compaction. Returns
+    /// the public id of every overlay slot — or `None` when the store
+    /// has moved past `arena`'s epoch, in which case the overlay's
+    /// children are ids of a retired arena and the caller must keep its
+    /// overlay private (see [`WorkerStore`] staleness).
+    fn commit(&self, arena: &Arc<Arena>, slots: &[OverlaySlot]) -> Option<Vec<TypeId>> {
         let span = self.obs.get().map(|_| Span::begin());
-        let out = self.intern_slow_inner(node, epoch);
+        self.counters.slow_path.fetch_add(1, Ordering::Relaxed);
+        self.count_lock();
+        let current = self.writer.lock();
+        if !Arc::ptr_eq(&current, arena) {
+            return None;
+        }
+        let mut remap: Vec<TypeId> = Vec::with_capacity(slots.len());
+        let mut bytes = 0;
+        for slot in slots {
+            // Slots are in creation order, so every overlay child is
+            // already remapped.
+            let node = map_children(&slot.node, |c| c.overlay_index().map_or(c, |i| remap[i]));
+            let node_size = node_bytes(&node);
+            let (id, fresh) = arena.intern_locked(node, slot.needs);
+            if fresh {
+                bytes += node_size;
+            }
+            remap.push(id);
+        }
+        self.sizes.nodes.store(arena.len(), Ordering::Release);
+        self.sizes.arena_bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.sizes
+            .index_bytes
+            .store(arena.index.bytes(), Ordering::Relaxed);
+        drop(current);
         if let (Some(obs), Some(span)) = (self.obs.get(), span) {
             obs.slow_path_ns.record(span.elapsed_ns());
         }
-        out
-    }
-
-    fn intern_slow_inner(&self, node: &TNode, epoch: u64) -> Option<(TypeId, Arc<Snapshot>)> {
-        self.counters.slow_path.fetch_add(1, Ordering::Relaxed);
-        self.count_lock();
-        let mut pending = self.pending.lock();
-        // Re-read under the mutex: another writer may have installed a
-        // newer generation — or a whole new epoch — between our
-        // lock-free probes and here.
-        let snap = self.load_snapshot();
-        if snap.epoch != epoch {
-            // The node's children are old-epoch ids; appending it here
-            // would corrupt the new arena. The caller goes stale.
-            return None;
-        }
-        if let Some(id) = snap.intern.get(node) {
-            return Some((id, snap));
-        }
-        if let Some(&id) = pending.intern.get(node) {
-            return Some((id, snap));
-        }
-        let id = TypeId::from_index(snap.arena.push(node.clone()));
-        self.sizes.nodes.store(snap.arena.len(), Ordering::Release);
-        self.sizes
-            .arena_bytes
-            .fetch_add(node_bytes(node), Ordering::Relaxed);
-        pending.intern.insert(node.clone(), id);
-        if pending.len() >= INSTALL_THRESHOLD {
-            let snap = self.install_locked(&mut pending, &snap);
-            return Some((id, snap));
-        }
-        Some((id, snap))
-    }
-
-    /// Folds a worker's memo deltas into the pending delta and installs
-    /// a new generation. Called only with non-empty deltas. Returns
-    /// `None` — dropping the deltas — when the store has moved past
-    /// `epoch`: old-epoch ids must never enter a new-epoch snapshot.
-    fn publish_deltas(
-        &self,
-        epoch: u64,
-        pos: &[(TypeId, TypeId)],
-        neg: &[(TypeId, TypeId)],
-    ) -> Option<Arc<Snapshot>> {
-        self.count_lock();
-        let mut pending = self.pending.lock();
-        let snap = self.load_snapshot();
-        if snap.epoch != epoch {
-            return None;
-        }
-        pending.pos.extend(pos.iter().copied());
-        pending.neg.extend(neg.iter().copied());
-        if pending.is_empty() {
-            return Some(snap);
-        }
-        Some(self.install_locked(&mut pending, &snap))
+        Some(remap)
     }
 
     /// Compacts the store: drops every node not reachable from `roots`
     /// (plus the memoized normal forms of live ids, kept so the warm
-    /// working set survives), rebuilds the arena and tables in a fresh
-    /// epoch, and installs the result as a new generation. See the
-    /// module docs ("Compaction") for the full protocol.
+    /// working set survives), rebuilds the arena and its index in a
+    /// fresh epoch, and installs the result. See the module docs
+    /// ("Compaction") for the full protocol.
     ///
     /// Runs behind the writer mutex; warm readers keep reading their
     /// pinned epoch throughout and never block. Roots that do not name
-    /// a current-epoch id (e.g. collected before a racing compaction)
-    /// are ignored.
+    /// a current-epoch id (e.g. collected before a racing compaction,
+    /// or a stale worker's overlay ids) are ignored.
     pub fn compact(&self, roots: &[TypeId]) -> CompactionOutcome {
         let span = self.obs.get().map(|_| Span::begin());
         self.count_lock();
-        let mut pending = self.pending.lock();
-        let mut snap = self.load_snapshot();
-        // Flush so the snapshot is the complete truth.
-        if !pending.is_empty() {
-            snap = self.install_locked(&mut pending, &Arc::clone(&snap));
-        }
-        let old_arena = Arc::clone(&snap.arena);
+        let mut current = self.writer.lock();
+        let old_arena = Arc::clone(&current);
         let old_len = old_arena.len();
         let bytes_before = self.live_bytes();
+        let polarities = [Polarity::Pos, Polarity::Neg];
 
         // Mark: roots → children closure, plus memo values of live ids.
         let mut live = vec![false; old_len];
@@ -819,70 +858,63 @@ impl SharedStore {
                 continue;
             }
             live[i] = true;
-            push_children(old_arena.get(i), &mut stack);
-            let id = TypeId::from_index(i);
-            for table in [&snap.pos, &snap.neg] {
-                if let Some(v) = table.get(&id) {
-                    if !live[v.index()] {
-                        stack.push(v.index());
-                    }
-                }
-            }
+            let slot = old_arena.get(i);
+            for_each_child(&slot.node, |c| stack.push(c.index()));
+            stack.extend(
+                polarities
+                    .iter()
+                    .filter_map(|&p| slot.memo(p))
+                    .map(TypeId::index),
+            );
         }
 
         // Rebuild in old-index order: children precede parents, so every
         // child is remapped before a parent mentions it, and the new
-        // arena is again topological (store invariant).
-        let new_arena = Arc::new(Arena::new());
+        // arena is again topological (store invariant). Memo values may
+        // point forward, so they are copied in a second pass.
+        let new_arena = Arc::new(Arena::new(old_arena.epoch + 1));
         let mut remap_vec: Vec<Option<TypeId>> = vec![None; old_len];
-        let mut intern = HashMap::new();
         let mut arena_bytes = 0u64;
         for (i, alive) in live.iter().enumerate() {
             if !alive {
                 continue;
             }
-            let node = remap_node(old_arena.get(i), &remap_vec);
+            let old = old_arena.get(i);
+            let node = map_children(&old.node, |c| {
+                remap_vec[c.index()].expect("child of a live node must be live")
+            });
             arena_bytes += node_bytes(&node);
-            let ni = TypeId::from_index(new_arena.push(node.clone()));
-            intern.insert(node, ni);
-            remap_vec[i] = Some(ni);
+            remap_vec[i] = Some(new_arena.intern_locked(node, old.needs).0);
         }
-        let (mut pos, mut neg) = (HashMap::new(), HashMap::new());
-        for (i, alive) in live.iter().enumerate() {
-            if !alive {
-                continue;
-            }
-            let id = TypeId::from_index(i);
-            for (table, out) in [(&snap.pos, &mut pos), (&snap.neg, &mut neg)] {
-                if let Some(v) = table.get(&id) {
+        let mut memo_entries = 0;
+        for (i, new) in remap_vec.iter().enumerate() {
+            let Some(new) = new else { continue };
+            let (old, new) = (old_arena.get(i), new_arena.get(new.index()));
+            for p in polarities {
+                if let Some(v) = old.memo(p) {
                     // The value is live by the marking closure.
-                    out.insert(remap_vec[i].unwrap(), remap_vec[v.index()].unwrap());
+                    let v = remap_vec[v.index()].unwrap();
+                    new.cell(p).store(v.index() as u32, Ordering::Relaxed);
+                    memo_entries += 1;
                 }
             }
         }
 
-        let next = Arc::new(Snapshot {
-            generation: snap.generation + 1,
-            epoch: snap.epoch + 1,
-            nodes_len: new_arena.len(),
-            arena: new_arena,
-            intern: Layers::new().with_delta(intern),
-            pos: Layers::new().with_delta(pos),
-            neg: Layers::new().with_delta(neg),
-        });
-        self.sizes.nodes.store(next.nodes_len, Ordering::Release);
+        let (epoch, nodes_after) = (new_arena.epoch, new_arena.len());
+        self.sizes.nodes.store(nodes_after, Ordering::Release);
         self.sizes.arena_bytes.store(arena_bytes, Ordering::Relaxed);
-        self.record_sizes(&next);
-        self.count_lock();
-        *self.current.write() = Arc::clone(&next);
-        // Release both probes after the swap, epoch first: a worker
-        // that sees the new generation and refreshes will find a
-        // snapshot whose epoch mismatch it detects directly.
-        self.epoch.store(next.epoch, Ordering::Release);
-        self.generation.store(next.generation, Ordering::Release);
-        self.counters.installs.fetch_add(1, Ordering::Relaxed);
+        self.sizes
+            .index_bytes
+            .store(new_arena.index.bytes(), Ordering::Relaxed);
+        self.sizes
+            .memo_entries
+            .store(memo_entries, Ordering::Relaxed);
+        // Workers attach through the writer mutex, which also publishes
+        // the memo cells written above.
+        *current = new_arena;
+        self.epoch.store(epoch, Ordering::Release);
+        drop(current);
         self.counters.compactions.fetch_add(1, Ordering::Relaxed);
-        drop(pending);
 
         let bytes_after = self.live_bytes();
         self.counters
@@ -893,17 +925,16 @@ impl SharedStore {
             .enumerate()
             .filter_map(|(i, n)| n.map(|n| (TypeId::from_index(i), n)))
             .collect();
-        if let (Some(obs), Some(span)) = (self.obs.get(), span) {
-            let ns = span.elapsed_ns();
-            obs.install_ns.record(ns);
+        if let Some(obs) = self.obs.get() {
             if obs.sink.enabled(Level::Debug) {
+                let ns = span.as_ref().map_or(0, Span::elapsed_ns);
                 obs.sink.event(
                     Level::Debug,
                     "store_compaction",
                     &[
-                        ("epoch", Field::U64(next.epoch)),
+                        ("epoch", Field::U64(epoch)),
                         ("nodes_before", Field::U64(old_len as u64)),
-                        ("nodes_after", Field::U64(next.nodes_len as u64)),
+                        ("nodes_after", Field::U64(nodes_after as u64)),
                         ("bytes_before", Field::U64(bytes_before)),
                         ("bytes_after", Field::U64(bytes_after)),
                         ("compact_us", Field::F64(ns as f64 / 1_000.0)),
@@ -911,10 +942,11 @@ impl SharedStore {
                 );
             }
         }
+        self.install(span, nodes_after);
         CompactionOutcome {
-            epoch: next.epoch,
+            epoch,
             nodes_before: old_len,
-            nodes_after: next.nodes_len,
+            nodes_after,
             bytes_before,
             bytes_after,
             remap,
@@ -922,90 +954,76 @@ impl SharedStore {
     }
 }
 
-/// Pushes the arena indices of `node`'s children onto `stack`.
-fn push_children(node: &TNode, stack: &mut Vec<usize>) {
-    match node {
-        TNode::Unit
-        | TNode::Base(_)
-        | TNode::Free(_)
-        | TNode::Bound(_)
-        | TNode::EndIn
-        | TNode::EndOut => {}
-        TNode::Arrow(a, b) | TNode::Pair(a, b) | TNode::In(a, b) | TNode::Out(a, b) => {
-            stack.push(a.index());
-            stack.push(b.index());
-        }
-        TNode::Forall(_, b) | TNode::Dual(b) | TNode::Neg(b) => stack.push(b.index()),
-        TNode::Proto(_, args) | TNode::Data(_, args) => {
-            stack.extend(args.iter().map(|a| a.index()));
-        }
-    }
-}
-
-/// `node` with every child id remapped through `remap`. Callable only
-/// when all children are already remapped (guaranteed by old-index
-/// rebuild order).
-fn remap_node(node: &TNode, remap: &[Option<TypeId>]) -> TNode {
-    let m = |id: &TypeId| remap[id.index()].expect("child of a live node must be live");
-    match node {
-        TNode::Unit => TNode::Unit,
-        TNode::Base(b) => TNode::Base(*b),
-        TNode::Free(s) => TNode::Free(*s),
-        TNode::Bound(i) => TNode::Bound(*i),
-        TNode::EndIn => TNode::EndIn,
-        TNode::EndOut => TNode::EndOut,
-        TNode::Arrow(a, b) => TNode::Arrow(m(a), m(b)),
-        TNode::Pair(a, b) => TNode::Pair(m(a), m(b)),
-        TNode::In(a, b) => TNode::In(m(a), m(b)),
-        TNode::Out(a, b) => TNode::Out(m(a), m(b)),
-        TNode::Forall(k, b) => TNode::Forall(*k, m(b)),
-        TNode::Dual(b) => TNode::Dual(m(b)),
-        TNode::Neg(b) => TNode::Neg(m(b)),
-        TNode::Proto(s, args) => TNode::Proto(*s, args.iter().map(&m).collect()),
-        TNode::Data(s, args) => TNode::Data(*s, args.iter().map(m).collect()),
-    }
-}
-
 // ------------------------------------------------------- WorkerStore
+
+/// A node created by a worker and not (yet) in the shared arena, with
+/// the memo entries and binder hint that are keyed by its overlay id.
+struct OverlaySlot {
+    node: TNode,
+    needs: u32,
+    pos: Option<TypeId>,
+    neg: Option<TypeId>,
+    hint: Option<Symbol>,
+}
+
+/// A worker's private nodes: those the running operation created (a
+/// non-stale worker commits and empties it when the operation ends) or,
+/// for a stale worker, every node created since it went stale.
+#[derive(Default)]
+struct Overlay {
+    /// Indexed by overlay id, in creation order.
+    slots: Vec<OverlaySlot>,
+    /// Hash-consing map over `slots`.
+    ids: HashMap<TNode, TypeId>,
+}
 
 /// A per-thread (or per-worker) handle onto a [`SharedStore`].
 ///
-/// Implements the same id-level operations as [`TypeStore`] — `intern`,
-/// `nrm`, `equivalent_ids`, substitution, extraction — with identical
-/// semantics (both run the [`StoreOps`] algorithms). Warm queries touch
-/// only the local mirror and the cached immutable snapshot (no locks);
-/// cold ones enter the shared writer mutex and publish what they learn.
+/// Implements the same id-level operations as
+/// [`TypeStore`](crate::store::TypeStore) — `intern`, `nrm`,
+/// `equivalent_ids`, substitution, extraction — with identical
+/// semantics (both run the [`StoreOps`] algorithms). Nodes, the index
+/// and memoized normal forms are read straight from the pinned epoch's
+/// lock-free arena, so warm queries take no locks. A cold operation
+/// builds its new nodes in a private overlay and commits them with one
+/// writer-mutex acquisition when it ends.
 pub struct WorkerStore {
     shared: Arc<SharedStore>,
-    /// Cached (possibly behind) snapshot; refreshed only after a miss
-    /// when the generation probe says the store has moved. Pins this
-    /// worker's epoch: the snapshot owns the arena its ids name.
-    snapshot: Arc<Snapshot>,
-    /// Prefix-consistent mirror of the pinned arena; also holds the
-    /// local memo caches, binder-name hints and the extraction memo.
-    local: TypeStore,
-    /// Memo entries computed here and not yet published.
-    delta_pos: Vec<(TypeId, TypeId)>,
-    delta_neg: Vec<(TypeId, TypeId)>,
+    /// The pinned epoch's arena: every public id this worker handles
+    /// names one of its slots.
+    arena: Arc<Arena>,
+    overlay: Overlay,
+    /// Memo entries for arena ids that cannot go into the arena: in a
+    /// running operation, those whose normal form is an overlay id (set
+    /// in the arena at the commit); in a stale worker, all of them.
+    private_pos: HashMap<TypeId, TypeId>,
+    private_neg: HashMap<TypeId, TypeId>,
+    /// Display names of `Forall` arena ids, first intern wins. Hints
+    /// stay worker-local: each worker shows the names *it* first saw.
+    hints: HashMap<TypeId, Symbol>,
+    /// Whole-tree extraction memo, with each tree's estimated bytes.
+    extract_memo: HashMap<TypeId, (Type, u64)>,
+    extract_bytes: u64,
+    /// Nodes committed since the last publish.
+    committed: bool,
+    /// Private bytes last added to the store's `worker_bytes`.
+    reported_bytes: u64,
     /// Set when the store compacted past this worker's pinned epoch.
-    /// A stale worker keeps answering from its pinned snapshot, interns
-    /// cold nodes privately into the mirror, and publishes nothing —
-    /// until [`WorkerStore::repin`] adopts the new epoch.
+    /// A stale worker keeps answering from its pinned arena, keeps cold
+    /// nodes in its overlay and memo entries private, and publishes
+    /// nothing — until [`WorkerStore::repin`] adopts the new epoch.
     stale: bool,
     local_hits: u64,
-    snapshot_hits: u64,
+    shared_hits: u64,
     misses: u64,
 }
 
 impl std::fmt::Debug for WorkerStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerStore")
-            .field("mirrored", &self.local.len())
-            .field("generation", &self.snapshot.generation)
-            .field(
-                "unpublished",
-                &(self.delta_pos.len() + self.delta_neg.len()),
-            )
+            .field("epoch", &self.arena.epoch)
+            .field("overlay", &self.overlay.slots.len())
+            .field("stale", &self.stale)
             .finish()
     }
 }
@@ -1016,16 +1034,9 @@ impl WorkerStore {
         &self.shared
     }
 
-    /// Read-only view of the local mirror, for code that takes a plain
-    /// [`TypeStore`] (e.g. id-level kind checking). Every id this worker
-    /// has produced or looked at is present in the mirror.
-    pub fn local(&self) -> &TypeStore {
-        &self.local
-    }
-
     /// This worker's pinned compaction epoch.
     pub fn epoch(&self) -> u64 {
-        self.snapshot.epoch
+        self.arena.epoch
     }
 
     /// True when the store has compacted past this worker's pinned
@@ -1034,131 +1045,196 @@ impl WorkerStore {
         self.stale
     }
 
-    /// Re-reads the generation counter (acquire load, no RMW) and
-    /// refreshes the cached snapshot if the store has moved *within
-    /// this worker's epoch*. Returns true when the snapshot changed.
-    /// A cross-epoch move marks the worker stale instead of adopting:
-    /// the new snapshot's ids would not name the pinned arena. Once
-    /// stale, the probe short-circuits — the store can only move
-    /// further away.
-    fn refresh(&mut self) -> bool {
-        if self.stale {
-            return false;
-        }
-        if self.shared.generation.load(Ordering::Acquire) == self.snapshot.generation {
-            return false;
-        }
-        let snap = self.shared.load_snapshot();
-        if snap.epoch != self.snapshot.epoch {
-            self.stale = true;
-            return false;
-        }
-        self.snapshot = snap;
-        true
+    /// Drops everything the running operation created that is not yet
+    /// in the arena: its overlay nodes and its deferred memo entries.
+    fn discard_operation(&mut self) {
+        self.overlay = Overlay::default();
+        self.private_pos.clear();
+        self.private_neg.clear();
     }
 
-    /// Adopts the newest epoch after a compaction: resets the local
-    /// mirror and drops unpublished (old-epoch) deltas. Returns true
+    /// Adopts the newest epoch after a compaction: drops the overlay,
+    /// private memo entries, hints and the extraction memo. Returns true
     /// when the epoch actually changed — the caller must then drop or
     /// remap every `TypeId`-keyed cache it holds, because old ids no
     /// longer name the store's arena. Costs one atomic load when the
-    /// epoch has not moved, so calling it per batch is free on the
-    /// warm path.
+    /// epoch has not moved, so calling it per batch is free on the warm
+    /// path.
     pub fn repin(&mut self) -> bool {
-        if !self.stale && self.shared.epoch.load(Ordering::Acquire) == self.snapshot.epoch {
+        if !self.stale && self.shared.epoch.load(Ordering::Acquire) == self.arena.epoch {
             return false;
         }
-        self.delta_pos.clear();
-        self.delta_neg.clear();
-        self.snapshot = self.shared.load_snapshot();
-        self.local = TypeStore::new();
+        self.overlay = Overlay::default();
+        self.private_pos = HashMap::new();
+        self.private_neg = HashMap::new();
+        self.hints = HashMap::new();
+        self.extract_memo = HashMap::new();
+        self.extract_bytes = 0;
+        self.committed = false;
+        self.arena = self.shared.current_arena();
         self.stale = false;
         true
     }
 
-    /// Extends the local mirror to cover `id`, reading this worker's
-    /// pinned lock-free arena directly. Copying in arena order
-    /// reproduces the shared indices exactly (see module docs).
-    fn sync_to(&mut self, id: TypeId) {
-        if self.local.len() > id.index() {
-            return;
+    /// Commits the overlay (one writer-mutex acquisition), writes the
+    /// running operation's deferred memo entries into the arena, and
+    /// rewrites its hints and `ids` to public ids. Returns false, with
+    /// nothing changed, when the store has compacted past this worker's
+    /// epoch.
+    fn commit(&mut self, ids: &mut [TypeId]) -> bool {
+        let Some(remap) = self.shared.commit(&self.arena, &self.overlay.slots) else {
+            return false;
+        };
+        self.committed = true;
+        let public = |id: TypeId| id.overlay_index().map_or(id, |i| remap[i]);
+        for id in ids {
+            *id = public(*id);
         }
-        for i in self.local.len()..=id.index() {
-            let got = self.local.mk(self.snapshot.arena.get(i).clone());
-            debug_assert_eq!(got.index(), i, "mirror diverged from shared arena");
+        let (shared, arena) = (&self.shared, &self.arena);
+        let set = |id: TypeId, p: Polarity, nf: TypeId| shared.set_memo(arena, id, p, public(nf));
+        for (&k, &nf) in &self.private_pos {
+            set(k, Polarity::Pos, nf);
         }
-    }
-
-    /// Extends the local mirror over the *entire* pinned arena, then
-    /// interns `node` locally. Every local-private id must land
-    /// strictly beyond the shared prefix: the mirror is synced lazily,
-    /// so without this a fresh local id could numerically collide with
-    /// a shared arena index this worker never looked at — and the
-    /// snapshot's intern/memo tables, keyed by that index, would then
-    /// answer for a *different* type. Sound because staleness is only
-    /// observed after a compaction has moved the epoch, at which point
-    /// the pinned arena is frozen (every `intern_slow` against it now
-    /// fails the epoch check), so its length is final.
-    fn mk_local(&mut self, node: TNode) -> TypeId {
-        let len = self.snapshot.arena.len();
-        if len > 0 {
-            self.sync_to(TypeId::from_index(len - 1));
+        for (&k, &nf) in &self.private_neg {
+            set(k, Polarity::Neg, nf);
         }
-        self.local.mk(node)
-    }
-
-    /// Publishes this worker's memo deltas as a new snapshot generation
-    /// and folds its hit/miss counters into the shared statistics.
-    /// Takes no locks when there is nothing to publish. A stale
-    /// worker's deltas are dropped (old-epoch ids must never enter a
-    /// new-epoch snapshot); the epoch check in `publish_deltas` closes
-    /// the race where a compaction lands between the worker's last
-    /// probe and the publish.
-    pub fn publish(&mut self) {
-        if !self.delta_pos.is_empty() || !self.delta_neg.is_empty() {
-            if !self.stale {
-                match self.shared.publish_deltas(
-                    self.snapshot.epoch,
-                    &self.delta_pos,
-                    &self.delta_neg,
-                ) {
-                    Some(snap) => {
-                        self.snapshot = snap;
-                        self.shared
-                            .counters
-                            .publishes
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    None => self.stale = true,
-                }
+        let mut hints = Vec::new();
+        for (slot, &id) in self.overlay.slots.iter().zip(&remap) {
+            if let Some(nf) = slot.pos {
+                set(id, Polarity::Pos, nf);
             }
-            self.delta_pos.clear();
-            self.delta_neg.clear();
+            if let Some(nf) = slot.neg {
+                set(id, Polarity::Neg, nf);
+            }
+            if let Some(name) = slot.hint {
+                hints.push((id, name));
+            }
+        }
+        for (id, name) in hints {
+            self.note_arena_hint(id, name);
+        }
+        self.private_pos.clear();
+        self.private_neg.clear();
+        self.overlay.slots.clear();
+        self.overlay.ids.clear();
+        true
+    }
+
+    fn note_arena_hint(&mut self, id: TypeId, name: Symbol) {
+        if let Entry::Vacant(e) = self.hints.entry(id) {
+            e.insert(name);
+            if let Some((_, bytes)) = self.extract_memo.remove(&id) {
+                self.extract_bytes -= bytes;
+            }
+        }
+    }
+
+    /// Estimated bytes of this worker's private state.
+    fn private_bytes(&self) -> u64 {
+        let id = size_of::<TypeId>();
+        let overlay = self.overlay.slots.capacity() * size_of::<OverlaySlot>()
+            + self.overlay.ids.capacity() * (size_of::<TNode>() + id + MAP_ENTRY_OVERHEAD);
+        let memo = (self.private_pos.capacity() + self.private_neg.capacity())
+            * (2 * id + MAP_ENTRY_OVERHEAD);
+        let hints = self.hints.capacity() * (id + size_of::<Symbol>() + MAP_ENTRY_OVERHEAD);
+        let extract =
+            self.extract_memo.capacity() * (id + size_of::<(Type, u64)>() + MAP_ENTRY_OVERHEAD);
+        (overlay + memo + hints + extract) as u64 + self.extract_bytes
+    }
+
+    /// Marks a batch boundary: when the worker committed nodes since
+    /// its last publish, counts a new store generation; folds the
+    /// worker's hit/miss counters into the shared statistics and
+    /// reports its private bytes. Takes no locks. A publish that finds
+    /// the store compacted past the worker's epoch marks it stale.
+    pub fn publish(&mut self) {
+        debug_assert!(
+            self.stale || self.overlay.slots.is_empty(),
+            "publish inside an unsettled operation"
+        );
+        if std::mem::take(&mut self.committed) && !self.stale {
+            if self.shared.epoch.load(Ordering::Acquire) == self.arena.epoch {
+                let span = self.shared.obs.get().map(|_| Span::begin());
+                self.shared.install(span, self.arena.len());
+                self.shared
+                    .counters
+                    .publishes
+                    .fetch_add(1, Ordering::Relaxed);
+            } else {
+                self.stale = true;
+            }
         }
         let c = &self.shared.counters;
-        if self.local_hits > 0 {
-            c.nrm_local_hits
-                .fetch_add(self.local_hits, Ordering::Relaxed);
-            self.local_hits = 0;
+        for (local, shared) in [
+            (&mut self.local_hits, &c.nrm_local_hits),
+            (&mut self.shared_hits, &c.nrm_shared_hits),
+            (&mut self.misses, &c.nrm_misses),
+        ] {
+            if *local > 0 {
+                shared.fetch_add(std::mem::take(local), Ordering::Relaxed);
+            }
         }
-        if self.snapshot_hits > 0 {
-            c.nrm_snapshot_hits
-                .fetch_add(self.snapshot_hits, Ordering::Relaxed);
-            self.snapshot_hits = 0;
-        }
-        if self.misses > 0 {
-            c.nrm_misses.fetch_add(self.misses, Ordering::Relaxed);
-            self.misses = 0;
-        }
-    }
-
-    fn maybe_publish(&mut self) {
-        if self.delta_pos.len() + self.delta_neg.len() >= PUBLISH_THRESHOLD {
-            self.publish();
+        let bytes = self.private_bytes();
+        if bytes != self.reported_bytes {
+            let z = &self.shared.sizes.worker_bytes;
+            z.fetch_add(bytes, Ordering::Relaxed);
+            z.fetch_sub(self.reported_bytes, Ordering::Relaxed);
+            self.reported_bytes = bytes;
         }
     }
 
-    // ---------------------------------------------------- mirrored API
+    /// Memoized normal form of `id` (overlay slot → arena cell →
+    /// private entry), with hit/miss accounting.
+    fn memo_entry(&mut self, id: TypeId, polarity: Polarity) -> Option<TypeId> {
+        let hit = match id.overlay_index() {
+            Some(i) => {
+                let slot = &self.overlay.slots[i];
+                match polarity {
+                    Polarity::Pos => slot.pos,
+                    Polarity::Neg => slot.neg,
+                }
+            }
+            None => {
+                if let Some(nf) = self.arena.get(id.index()).memo(polarity) {
+                    self.shared_hits += 1;
+                    return Some(nf);
+                }
+                match polarity {
+                    Polarity::Pos => self.private_pos.get(&id).copied(),
+                    Polarity::Neg => self.private_neg.get(&id).copied(),
+                }
+            }
+        };
+        match hit {
+            Some(_) => self.local_hits += 1,
+            None => self.misses += 1,
+        }
+        hit
+    }
+
+    /// Records `nrm±(id) = nf`: in the arena when both ids are public
+    /// and the worker is not stale, privately otherwise.
+    fn memo_record(&mut self, id: TypeId, polarity: Polarity, nf: TypeId) {
+        match id.overlay_index() {
+            Some(i) => {
+                let slot = &mut self.overlay.slots[i];
+                match polarity {
+                    Polarity::Pos => slot.pos = Some(nf),
+                    Polarity::Neg => slot.neg = Some(nf),
+                }
+            }
+            None if self.stale || nf.is_overlay() => {
+                let private = match polarity {
+                    Polarity::Pos => &mut self.private_pos,
+                    Polarity::Neg => &mut self.private_neg,
+                };
+                private.insert(id, nf);
+            }
+            None => self.shared.set_memo(&self.arena, id, polarity, nf),
+        }
+    }
+
+    // ---------------------------------------------------- public API
 
     /// Interns a boundary [`Type`]; the id is valid across all workers
     /// of this [`SharedStore`].
@@ -1166,8 +1242,8 @@ impl WorkerStore {
         StoreOps::intern(self, t)
     }
 
-    /// Memoized `nrm⁺` at the id level (local mirror → snapshot →
-    /// compute and record).
+    /// Memoized `nrm⁺` at the id level (arena memo cell → compute and
+    /// record).
     pub fn nrm(&mut self, id: TypeId) -> TypeId {
         StoreOps::nrm(self, id)
     }
@@ -1182,8 +1258,8 @@ impl WorkerStore {
         StoreOps::equivalent_ids(self, a, b)
     }
 
-    /// True when `id` is already recorded (locally) as its own normal
-    /// form — the no-traversal fast path.
+    /// True when `id` is already recorded as its own normal form — the
+    /// no-traversal fast path.
     pub fn is_normalized(&mut self, id: TypeId) -> bool {
         StoreOps::memo_pos_entry(self, id) == Some(id)
     }
@@ -1200,145 +1276,132 @@ impl WorkerStore {
 
     /// Converts an id back to a boundary [`Type`] (binder names from
     /// this worker's first-intern hints where capture-free).
-    pub fn extract(&mut self, id: TypeId) -> Type {
-        self.sync_to(id);
-        self.local.extract(id)
+    pub fn extract(&self, id: TypeId) -> Type {
+        StoreOps::extract(self, id)
     }
 
-    /// [`WorkerStore::extract`] with the mirror's per-id memo.
+    /// [`WorkerStore::extract`] with a per-id memo.
     pub fn extract_cached(&mut self, id: TypeId) -> Type {
-        self.sync_to(id);
-        self.local.extract_cached(id)
+        if let Some((t, _)) = self.extract_memo.get(&id) {
+            return t.clone();
+        }
+        let t = self.extract(id);
+        let bytes = t.node_count() as u64 * TREE_NODE_BYTES;
+        self.extract_bytes += bytes;
+        self.extract_memo.insert(id, (t.clone(), bytes));
+        t
     }
 
     /// Tree-node count of the type behind `id`.
-    pub fn node_count(&mut self, id: TypeId) -> u64 {
-        self.sync_to(id);
-        self.local.node_count(id)
+    pub fn node_count(&self, id: TypeId) -> u64 {
+        StoreOps::node_count(self, id)
     }
 }
 
 impl StoreOps for WorkerStore {
-    fn node_owned(&mut self, id: TypeId) -> TNode {
-        self.sync_to(id);
-        self.local.node(id).clone()
+    fn node(&self, id: TypeId) -> &TNode {
+        match id.overlay_index() {
+            Some(i) => &self.overlay.slots[i].node,
+            None => &self.arena.get(id.index()).node,
+        }
     }
 
     fn mk_node(&mut self, node: TNode) -> TypeId {
-        if let Some(id) = self.local.lookup_node(&node) {
+        if let Some(&id) = self.overlay.ids.get(&node) {
             return id;
         }
-        // The pinned snapshot stays probe-able even when stale — it is
-        // immutable and its ids name the pinned arena.
-        let mut found = self.snapshot.intern.get(&node);
-        if found.is_none() && self.refresh() {
-            found = self.snapshot.intern.get(&node);
-        }
-        let id = match found {
-            Some(id) => id,
-            None if self.stale => {
-                // Local-private intern: the mirror grows beyond the
-                // shared prefix; such ids are never published and die
-                // at the next repin.
-                return self.mk_local(node);
+        // A node with an overlay child cannot be in the arena yet.
+        let mut overlay_child = false;
+        for_each_child(&node, |c| overlay_child |= c.is_overlay());
+        if !overlay_child {
+            if let Some(id) = self.arena.lookup(&node) {
+                return id;
             }
-            None => match self.shared.intern_slow(&node, self.snapshot.epoch) {
-                Some((id, snap)) => {
-                    if snap.generation > self.snapshot.generation {
-                        self.snapshot = snap;
-                    }
-                    id
-                }
-                None => {
-                    // A compaction won the race; fall back to a
-                    // local-private intern and go stale.
-                    self.stale = true;
-                    return self.mk_local(node);
-                }
-            },
-        };
-        self.sync_to(id);
+        }
+        let needs = compute_needs(&node, |c| self.binders_needed(c));
+        let id = TypeId::overlay(self.overlay.slots.len());
+        self.overlay.ids.insert(node.clone(), id);
+        self.overlay.slots.push(OverlaySlot {
+            node,
+            needs,
+            pos: None,
+            neg: None,
+            hint: None,
+        });
         id
     }
 
-    fn binders_needed(&mut self, id: TypeId) -> u32 {
-        self.sync_to(id);
-        StoreOps::binders_needed(&mut self.local, id)
+    fn binders_needed(&self, id: TypeId) -> u32 {
+        match id.overlay_index() {
+            Some(i) => self.overlay.slots[i].needs,
+            None => self.arena.get(id.index()).needs,
+        }
     }
 
     fn memo_pos_entry(&mut self, id: TypeId) -> Option<TypeId> {
-        self.sync_to(id);
-        if let Some(n) = StoreOps::memo_pos_entry(&mut self.local, id) {
-            self.local_hits += 1;
-            return Some(n);
-        }
-        let mut hit = self.snapshot.pos.get(&id);
-        if hit.is_none() && self.refresh() {
-            hit = self.snapshot.pos.get(&id);
-        }
-        if let Some(n) = hit {
-            self.snapshot_hits += 1;
-            self.sync_to(n);
-            StoreOps::memo_pos_record(&mut self.local, id, n);
-            return Some(n);
-        }
-        self.misses += 1;
-        None
+        self.memo_entry(id, Polarity::Pos)
     }
 
     fn memo_pos_record(&mut self, id: TypeId, nf: TypeId) {
-        self.sync_to(id);
-        self.sync_to(nf);
-        StoreOps::memo_pos_record(&mut self.local, id, nf);
-        // Stale workers keep the memo locally but publish nothing:
-        // their ids no longer name the shared arena.
-        if !self.stale {
-            self.delta_pos.push((id, nf));
-            self.maybe_publish();
-        }
+        self.memo_record(id, Polarity::Pos, nf);
     }
 
     fn memo_neg_entry(&mut self, id: TypeId) -> Option<TypeId> {
-        self.sync_to(id);
-        if let Some(n) = StoreOps::memo_neg_entry(&mut self.local, id) {
-            self.local_hits += 1;
-            return Some(n);
-        }
-        let mut hit = self.snapshot.neg.get(&id);
-        if hit.is_none() && self.refresh() {
-            hit = self.snapshot.neg.get(&id);
-        }
-        if let Some(n) = hit {
-            self.snapshot_hits += 1;
-            self.sync_to(n);
-            StoreOps::memo_neg_record(&mut self.local, id, n);
-            return Some(n);
-        }
-        self.misses += 1;
-        None
+        self.memo_entry(id, Polarity::Neg)
     }
 
     fn memo_neg_record(&mut self, id: TypeId, nf: TypeId) {
-        self.sync_to(id);
-        self.sync_to(nf);
-        StoreOps::memo_neg_record(&mut self.local, id, nf);
-        if !self.stale {
-            self.delta_neg.push((id, nf));
-            self.maybe_publish();
-        }
+        self.memo_record(id, Polarity::Neg, nf);
     }
 
     fn note_binder_hint(&mut self, id: TypeId, name: Symbol) {
-        // Hints are display-only and stay worker-local: each worker
-        // shows the names *it* first interned, exactly like the previous
-        // thread-local store.
-        self.local.record_binder_hint(id, name);
+        if !is_hint_worthy(name) {
+            return;
+        }
+        match id.overlay_index() {
+            Some(i) => {
+                self.overlay.slots[i].hint.get_or_insert(name);
+            }
+            None => self.note_arena_hint(id, name),
+        }
+    }
+
+    fn binder_hint(&self, id: TypeId) -> Option<Symbol> {
+        match id.overlay_index() {
+            Some(i) => self.overlay.slots[i].hint,
+            None => self.hints.get(&id).copied(),
+        }
+    }
+
+    fn settle(&mut self, ids: &mut [TypeId]) -> bool {
+        if !self.stale && !self.overlay.slots.is_empty() && !self.commit(ids) {
+            // The store compacted past this worker's epoch. The overlay
+            // was built while siblings could still add to the index, so
+            // it may duplicate arena nodes; run the operation again
+            // against the retired arena's now-frozen index.
+            self.stale = true;
+            self.discard_operation();
+            return false;
+        }
+        debug_assert!(
+            self.stale || ids.iter().all(|id| !id.is_overlay()),
+            "a non-stale worker returned an overlay id"
+        );
+        true
     }
 }
 
 impl Drop for WorkerStore {
     fn drop(&mut self) {
+        if !self.stale && !self.overlay.slots.is_empty() {
+            // An operation unwound before it settled.
+            self.discard_operation();
+        }
         self.publish();
+        self.shared
+            .sizes
+            .worker_bytes
+            .fetch_sub(self.reported_bytes, Ordering::Relaxed);
     }
 }
 
@@ -1347,6 +1410,7 @@ mod tests {
     use super::*;
     use crate::kind::Kind;
     use crate::normalize::nrm_pos;
+    use crate::store::TypeStore;
 
     fn samples() -> Vec<Type> {
         vec![
@@ -1380,28 +1444,6 @@ mod tests {
             flat += size;
         }
         assert!(flat > 0);
-    }
-
-    #[test]
-    fn layers_compact_and_shadow() {
-        let mut layers: Layers<u32, u32> = Layers::new();
-        for gen in 0..100u32 {
-            let mut delta = HashMap::new();
-            delta.insert(gen, gen * 2);
-            delta.insert(1000 + gen % 3, gen); // repeatedly overwritten keys
-            layers = layers.with_delta(delta);
-        }
-        assert!(
-            layers.layers.len() <= 8,
-            "compaction failed: {} layers for 100 deltas",
-            layers.layers.len()
-        );
-        for gen in 0..100u32 {
-            assert_eq!(layers.get(&gen), Some(gen * 2));
-        }
-        // Newest write wins for shadowed keys: key 1000 is written by every
-        // gen with gen % 3 == 0, so gen 99 is the last writer.
-        assert_eq!(layers.get(&1000), Some(99));
     }
 
     #[test]
@@ -1445,7 +1487,7 @@ mod tests {
         let n = w1.nrm(id);
         w1.publish();
         // A brand-new worker sees the published memo: its first nrm is a
-        // snapshot hit, not a recomputation.
+        // shared memo hit, not a recomputation.
         let mut w2 = shared.worker();
         let before = shared.stats();
         assert_eq!(w2.nrm(id), n);
@@ -1456,27 +1498,59 @@ mod tests {
     }
 
     #[test]
-    fn threshold_install_shares_cold_interns_without_publish() {
+    fn cold_interns_reach_siblings_without_publish() {
         let shared = SharedStore::new_arc();
         let mut w1 = shared.worker();
-        // Intern well past INSTALL_THRESHOLD fresh nodes; never publish.
-        for i in 0..(4 * INSTALL_THRESHOLD) {
+        let mut older = shared.worker(); // attached before any intern
+        for i in 0..256 {
             w1.intern(&Type::output(
                 Type::int(),
                 Type::var(format!("v{i}").as_str()),
             ));
         }
-        let stats = shared.stats();
-        assert!(
-            stats.snapshot_installs >= 1,
-            "cold interning must install snapshots on its own"
-        );
-        assert!(stats.slow_path >= 4 * INSTALL_THRESHOLD as u64);
-        // A fresh worker resolves an installed node without the slow path.
-        let mut w2 = shared.worker();
-        let before = shared.stats().slow_path;
-        w2.intern(&Type::output(Type::int(), Type::var("v0")));
-        assert_eq!(shared.stats().slow_path, before, "hit must be lock-free");
+        assert_eq!(shared.stats().slow_path, 256, "one commit per cold intern");
+        // Committed nodes are visible at once: neither an older sibling
+        // nor a fresh worker needs a publish, a commit or a lock.
+        let mut fresh = shared.worker();
+        let before = shared.stats();
+        for w in [&mut older, &mut fresh] {
+            w.intern(&Type::output(Type::int(), Type::var("v0")));
+        }
+        let after = shared.stats();
+        assert_eq!(after.slow_path, before.slow_path, "hit must be lock-free");
+        assert_eq!(after.lock_acquisitions, before.lock_acquisitions);
+    }
+
+    /// A cold operation takes the writer mutex exactly once, however
+    /// many nodes it creates.
+    #[test]
+    fn cold_operations_take_one_lock_whatever_their_size() {
+        let costs: Vec<[u64; 4]> = [10, 1_000, 4_000]
+            .into_iter()
+            .map(|nodes| {
+                let shared = SharedStore::new_arc();
+                let mut w = shared.worker();
+                // `Dual` over a spine of distinct payload variables: `nrm`
+                // builds a whole new (dual) spine.
+                let spine = (0..nodes / 2).fold(Type::EndOut, |t, i| {
+                    Type::output(Type::var(format!("p{i}").as_str()), t)
+                });
+                let t = Type::dual(spine);
+                let before = shared.stats();
+                let id = w.intern(&t);
+                let interned = shared.stats();
+                let n = w.nrm(id);
+                let normalized = shared.stats();
+                assert!(w.extract(n).alpha_eq(&nrm_pos(&t)));
+                [
+                    interned.lock_acquisitions - before.lock_acquisitions,
+                    interned.slow_path - before.slow_path,
+                    normalized.lock_acquisitions - interned.lock_acquisitions,
+                    normalized.slow_path - interned.slow_path,
+                ]
+            })
+            .collect();
+        assert_eq!(costs, vec![[1, 1, 1, 1]; 3], "locks/commits per operation");
     }
 
     #[test]
@@ -1646,11 +1720,12 @@ mod tests {
         assert!(!old.repin(), "second repin without a compaction is a no-op");
     }
 
-    /// Regression: a stale worker whose lazily-synced mirror covers only
-    /// a low-index prefix of its pinned arena must not mint local ids
-    /// that numerically collide with unsynced shared indices — the
-    /// pinned snapshot's memo tables are keyed by index and would answer
-    /// with another type's normal form.
+    /// Regression: a stale worker that has touched only a low-index
+    /// prefix of its pinned arena must not mint private ids that
+    /// numerically collide with shared indices it never looked at — the
+    /// arena's memo cells are keyed by index and would answer with
+    /// another type's normal form. Overlay ids carry a tag bit, so they
+    /// cannot.
     #[test]
     fn stale_local_interns_never_collide_with_unsynced_shared_ids() {
         let shared = SharedStore::new_arc();
@@ -1661,18 +1736,18 @@ mod tests {
             w1.nrm(id);
         }
         w1.publish();
-        // A second worker pins the full snapshot but syncs its mirror
-        // only up to the first sample's (low) ids.
+        // A second worker pins the arena but touches only the first
+        // sample's (low) ids.
         let mut w2 = shared.worker();
         let first = samples().remove(0);
         let low = w2.intern(&first);
         assert!(
             low.index() < shared.len() - 1,
-            "mirror must be a strict prefix"
+            "the touched ids must be a strict prefix"
         );
         shared.compact(&[]);
 
-        // A fresh intern goes stale and lands local-private; its normal
+        // A fresh intern goes stale and lands in the overlay; its normal
         // form must agree with the tree oracle, not with whatever memo
         // entry a colliding index would have held.
         let fresh = Type::dual(Type::output(

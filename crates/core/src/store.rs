@@ -66,13 +66,41 @@ impl TypeId {
     /// Builds an id from an arena index. Crate-internal: only stores may
     /// mint ids (the [`crate::shared`] arena appends under its own lock).
     pub(crate) fn from_index(i: usize) -> TypeId {
-        TypeId(u32::try_from(i).expect("type store overflow"))
+        match u32::try_from(i) {
+            Ok(i) if i < OVERLAY_BIT => TypeId(i),
+            _ => panic!("type store overflow"),
+        }
+    }
+
+    /// An id naming slot `i` of a worker's private overlay (see
+    /// [`crate::shared`]). Tagged with the top bit, so it can never
+    /// equal an arena id.
+    pub(crate) fn overlay(i: usize) -> TypeId {
+        TypeId(OVERLAY_BIT | TypeId::from_index(i).0)
+    }
+
+    /// The overlay slot this id names, or `None` for an arena id.
+    pub(crate) fn overlay_index(self) -> Option<usize> {
+        (self.0 & OVERLAY_BIT != 0).then_some((self.0 & !OVERLAY_BIT) as usize)
+    }
+
+    /// True for an id that names a node in one worker's private overlay:
+    /// one not yet committed to the shared arena, or minted by a stale
+    /// worker. Such ids are meaningful only to the session that made them.
+    pub fn is_overlay(self) -> bool {
+        self.overlay_index().is_some()
     }
 }
 
+/// Tag bit of overlay ids; arena ids stay below it.
+const OVERLAY_BIT: u32 = 1 << 31;
+
 impl fmt::Debug for TypeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "t{}", self.0)
+        match self.overlay_index() {
+            Some(i) => write!(f, "o{i}"),
+            None => write!(f, "t{}", self.0),
+        }
     }
 }
 
@@ -166,28 +194,14 @@ impl TypeStore {
         if let Some(&id) = self.ids.get(&node) {
             return id;
         }
-        let needs = self.compute_needs(&node);
-        let id = TypeId(u32::try_from(self.nodes.len()).expect("type store overflow"));
+        let needs = compute_needs(&node, |c| self.needs_binders[c.index()]);
+        let id = TypeId::from_index(self.nodes.len());
         self.nodes.push(node.clone());
         self.ids.insert(node, id);
         self.needs_binders.push(needs);
         self.memo_pos.push(None);
         self.memo_neg.push(None);
         id
-    }
-
-    fn compute_needs(&self, node: &TNode) -> u32 {
-        let of = |id: &TypeId| self.needs_binders[id.index()];
-        match node {
-            TNode::Unit | TNode::Base(_) | TNode::Free(_) | TNode::EndIn | TNode::EndOut => 0,
-            TNode::Bound(i) => i + 1,
-            TNode::Arrow(a, b) | TNode::Pair(a, b) | TNode::In(a, b) | TNode::Out(a, b) => {
-                of(a).max(of(b))
-            }
-            TNode::Forall(_, body) => of(body).saturating_sub(1),
-            TNode::Dual(t) | TNode::Neg(t) => of(t),
-            TNode::Proto(_, args) | TNode::Data(_, args) => args.iter().map(of).max().unwrap_or(0),
-        }
     }
 
     /// True when the subtree mentions no de-Bruijn index escaping it
@@ -211,15 +225,10 @@ impl TypeStore {
     /// extraction of this exact id made before the hint existed is
     /// dropped; enclosing cached trees keep their canonical names.
     pub(crate) fn record_binder_hint(&mut self, id: TypeId, name: Symbol) {
-        if !name.as_str().contains('%') && !self.binder_hints.contains_key(&id) {
+        if is_hint_worthy(name) && !self.binder_hints.contains_key(&id) {
             self.binder_hints.insert(id, name);
             self.extract_memo.remove(&id);
         }
-    }
-
-    /// Looks `node` up in the hash-consing map without interning it.
-    pub(crate) fn lookup_node(&self, node: &TNode) -> Option<TypeId> {
-        self.ids.get(node).copied()
     }
 
     // ----------------------------------------------------------- extraction
@@ -231,12 +240,7 @@ impl TypeStore {
     /// the type. The round trip `extract ∘ intern` is the identity up to
     /// α-equivalence (and `intern ∘ extract` is the identity on ids).
     pub fn extract(&self, id: TypeId) -> Type {
-        let mut free = HashSet::new();
-        let mut seen = HashSet::new();
-        self.collect_free(id, &mut seen, &mut free);
-        let mut binders: Vec<Symbol> = Vec::new();
-        let mut next = 0usize;
-        self.extract_under(id, &mut binders, &mut next, &free)
+        StoreOps::extract(self, id)
     }
 
     /// [`TypeStore::extract`] with a per-id memo: repeated extraction of
@@ -250,98 +254,6 @@ impl TypeStore {
         let t = self.extract(id);
         self.extract_memo.insert(id, t.clone());
         t
-    }
-
-    fn collect_free(&self, id: TypeId, seen: &mut HashSet<TypeId>, acc: &mut HashSet<Symbol>) {
-        if !seen.insert(id) {
-            return;
-        }
-        match self.node(id) {
-            TNode::Free(v) => {
-                acc.insert(*v);
-            }
-            TNode::Unit | TNode::Base(_) | TNode::Bound(_) | TNode::EndIn | TNode::EndOut => {}
-            TNode::Arrow(a, b) | TNode::Pair(a, b) | TNode::In(a, b) | TNode::Out(a, b) => {
-                self.collect_free(*a, seen, acc);
-                self.collect_free(*b, seen, acc);
-            }
-            TNode::Forall(_, body) => self.collect_free(*body, seen, acc),
-            TNode::Dual(t) | TNode::Neg(t) => self.collect_free(*t, seen, acc),
-            TNode::Proto(_, args) | TNode::Data(_, args) => {
-                for a in args {
-                    self.collect_free(*a, seen, acc);
-                }
-            }
-        }
-    }
-
-    fn extract_under(
-        &self,
-        id: TypeId,
-        binders: &mut Vec<Symbol>,
-        next: &mut usize,
-        free: &HashSet<Symbol>,
-    ) -> Type {
-        match self.node(id) {
-            TNode::Unit => Type::Unit,
-            TNode::Base(b) => Type::Base(*b),
-            TNode::Free(v) => Type::Var(*v),
-            TNode::Bound(i) => {
-                let ix = binders
-                    .len()
-                    .checked_sub(1 + *i as usize)
-                    .expect("dangling de-Bruijn index");
-                Type::Var(binders[ix])
-            }
-            TNode::Arrow(a, b) => Type::Arrow(
-                Arc::new(self.extract_under(*a, binders, next, free)),
-                Arc::new(self.extract_under(*b, binders, next, free)),
-            ),
-            TNode::Pair(a, b) => Type::Pair(
-                Arc::new(self.extract_under(*a, binders, next, free)),
-                Arc::new(self.extract_under(*b, binders, next, free)),
-            ),
-            TNode::Forall(k, body) => {
-                // Prefer the name the binder was first interned with; it
-                // must not shadow an in-scope binder (an inner Bound
-                // could silently re-bind) nor collide with a free
-                // variable of the whole type.
-                let hint = self
-                    .binder_hints
-                    .get(&id)
-                    .copied()
-                    .filter(|h| !free.contains(h) && !binders.contains(h));
-                let name = hint.unwrap_or_else(|| canonical_binder(next, binders, free));
-                binders.push(name);
-                let b = self.extract_under(*body, binders, next, free);
-                binders.pop();
-                Type::Forall(name, *k, Arc::new(b))
-            }
-            TNode::In(p, s) => Type::In(
-                Arc::new(self.extract_under(*p, binders, next, free)),
-                Arc::new(self.extract_under(*s, binders, next, free)),
-            ),
-            TNode::Out(p, s) => Type::Out(
-                Arc::new(self.extract_under(*p, binders, next, free)),
-                Arc::new(self.extract_under(*s, binders, next, free)),
-            ),
-            TNode::EndIn => Type::EndIn,
-            TNode::EndOut => Type::EndOut,
-            TNode::Dual(s) => Type::Dual(Arc::new(self.extract_under(*s, binders, next, free))),
-            TNode::Neg(p) => Type::Neg(Arc::new(self.extract_under(*p, binders, next, free))),
-            TNode::Proto(name, args) => Type::Proto(
-                *name,
-                args.iter()
-                    .map(|a| self.extract_under(*a, binders, next, free))
-                    .collect(),
-            ),
-            TNode::Data(name, args) => Type::Data(
-                *name,
-                args.iter()
-                    .map(|a| self.extract_under(*a, binders, next, free))
-                    .collect(),
-            ),
-        }
     }
 
     // -------------------------------------------------------- normalization
@@ -358,21 +270,6 @@ impl TypeStore {
     /// `nrm_neg(t) == nrm(Dual t)` for every id.
     pub fn nrm_neg(&mut self, id: TypeId) -> TypeId {
         StoreOps::nrm_neg(self, id)
-    }
-
-    /// The directional operator `−(T)`: `−(−T) = +(T)`, else wrap in `−`.
-    pub fn dir_neg(&mut self, id: TypeId) -> TypeId {
-        StoreOps::dir_neg(self, id)
-    }
-
-    /// The directional operator `+(T)`: `+(−T) = −(T)`, else identity.
-    pub fn dir_pos(&mut self, id: TypeId) -> TypeId {
-        StoreOps::dir_pos(self, id)
-    }
-
-    /// Materialization `§(T).S`: `§(−T).U = ?T.U`, `§(T).U = !T.U`.
-    pub fn materialize(&mut self, payload: TypeId, cont: TypeId) -> TypeId {
-        StoreOps::materialize(self, payload, cont)
     }
 
     // ---------------------------------------------------------- equivalence
@@ -417,39 +314,7 @@ impl TypeStore {
     /// measure). DAG-aware: shared subtrees are counted per occurrence
     /// but visited once.
     pub fn node_count(&self, id: TypeId) -> u64 {
-        let mut memo: HashMap<TypeId, u64> = HashMap::new();
-        self.node_count_rec(id, &mut memo)
-    }
-
-    fn node_count_rec(&self, id: TypeId, memo: &mut HashMap<TypeId, u64>) -> u64 {
-        if let Some(&n) = memo.get(&id) {
-            return n;
-        }
-        let n = match self.node(id) {
-            TNode::Unit
-            | TNode::Base(_)
-            | TNode::Free(_)
-            | TNode::Bound(_)
-            | TNode::EndIn
-            | TNode::EndOut => 1,
-            TNode::Arrow(a, b) | TNode::Pair(a, b) | TNode::In(a, b) | TNode::Out(a, b) => {
-                let (a, b) = (*a, *b);
-                1 + self.node_count_rec(a, memo) + self.node_count_rec(b, memo)
-            }
-            TNode::Forall(_, t) | TNode::Dual(t) | TNode::Neg(t) => {
-                let t = *t;
-                1 + self.node_count_rec(t, memo)
-            }
-            TNode::Proto(_, args) | TNode::Data(_, args) => {
-                let args = args.clone();
-                1 + args
-                    .iter()
-                    .map(|a| self.node_count_rec(*a, memo))
-                    .sum::<u64>()
-            }
-        };
-        memo.insert(id, n);
-        n
+        StoreOps::node_count(self, id)
     }
 
     // ------------------------------------------- introspection (testing)
@@ -495,16 +360,20 @@ impl TypeStore {
                     ))
                 }
             }
-            for child in node_children(node) {
-                if child.index() >= i {
-                    return Err(format!("arena not topological: t{i} has child {child:?}"));
+            let mut back_edge = None;
+            for_each_child(node, |c| {
+                if c.index() >= i {
+                    back_edge = Some(c);
                 }
+            });
+            if let Some(child) = back_edge {
+                return Err(format!("arena not topological: t{i} has child {child:?}"));
             }
-            if self.needs_binders[i] != self.compute_needs(node) {
+            let needs = compute_needs(node, |c| self.needs_binders[c.index()]);
+            if self.needs_binders[i] != needs {
                 return Err(format!(
-                    "needs_binders stale at t{i}: recorded {}, recomputed {}",
+                    "needs_binders stale at t{i}: recorded {}, recomputed {needs}",
                     self.needs_binders[i],
-                    self.compute_needs(node)
                 ));
             }
         }
@@ -546,20 +415,56 @@ impl TypeStore {
     }
 }
 
-/// Child ids of a node, for the introspection walk.
-fn node_children(node: &TNode) -> Vec<TypeId> {
+/// Calls `f` on every child id of `node`, left to right.
+pub(crate) fn for_each_child(node: &TNode, mut f: impl FnMut(TypeId)) {
     match node {
         TNode::Unit
         | TNode::Base(_)
         | TNode::Free(_)
         | TNode::Bound(_)
         | TNode::EndIn
-        | TNode::EndOut => Vec::new(),
+        | TNode::EndOut => {}
         TNode::Arrow(a, b) | TNode::Pair(a, b) | TNode::In(a, b) | TNode::Out(a, b) => {
-            vec![*a, *b]
+            f(*a);
+            f(*b);
         }
-        TNode::Forall(_, t) | TNode::Dual(t) | TNode::Neg(t) => vec![*t],
-        TNode::Proto(_, args) | TNode::Data(_, args) => args.clone(),
+        TNode::Forall(_, t) | TNode::Dual(t) | TNode::Neg(t) => f(*t),
+        TNode::Proto(_, args) | TNode::Data(_, args) => args.iter().copied().for_each(f),
+    }
+}
+
+/// `node` with every child id replaced by `f(child)`.
+pub(crate) fn map_children(node: &TNode, mut f: impl FnMut(TypeId) -> TypeId) -> TNode {
+    match node {
+        TNode::Unit => TNode::Unit,
+        TNode::Base(b) => TNode::Base(*b),
+        TNode::Free(s) => TNode::Free(*s),
+        TNode::Bound(i) => TNode::Bound(*i),
+        TNode::EndIn => TNode::EndIn,
+        TNode::EndOut => TNode::EndOut,
+        TNode::Arrow(a, b) => TNode::Arrow(f(*a), f(*b)),
+        TNode::Pair(a, b) => TNode::Pair(f(*a), f(*b)),
+        TNode::In(a, b) => TNode::In(f(*a), f(*b)),
+        TNode::Out(a, b) => TNode::Out(f(*a), f(*b)),
+        TNode::Forall(k, b) => TNode::Forall(*k, f(*b)),
+        TNode::Dual(b) => TNode::Dual(f(*b)),
+        TNode::Neg(b) => TNode::Neg(f(*b)),
+        TNode::Proto(s, args) => TNode::Proto(*s, args.iter().map(|&a| f(a)).collect()),
+        TNode::Data(s, args) => TNode::Data(*s, args.iter().map(|&a| f(a)).collect()),
+    }
+}
+
+/// `1 + max escaping de-Bruijn index` of `node`, given the same measure
+/// for its children (0 = closed under binders).
+pub(crate) fn compute_needs(node: &TNode, of: impl Fn(TypeId) -> u32) -> u32 {
+    match node {
+        TNode::Bound(i) => i + 1,
+        TNode::Forall(_, body) => of(*body).saturating_sub(1),
+        _ => {
+            let mut needs = 0;
+            for_each_child(node, |c| needs = needs.max(of(c)));
+            needs
+        }
     }
 }
 
@@ -586,27 +491,27 @@ pub struct StoreIntrospection {
 ///
 /// Two implementations exist: the single-threaded [`TypeStore`] (arena,
 /// maps and memos all private to one owner) and the concurrent
-/// [`WorkerStore`](crate::shared::WorkerStore) (a per-worker mirror of a
-/// process-wide [`SharedStore`](crate::shared::SharedStore), with memo
-/// deltas published back). Because `intern`, `nrm⁺`/`nrm⁻`,
-/// substitution and β-instantiation are all written once against this
-/// trait, the two stores cannot drift semantically: they run the same
-/// code over the same [`TNode`] grammar, differing only in where nodes
-/// and memo entries live.
+/// [`WorkerStore`](crate::shared::WorkerStore) (a per-worker handle
+/// that reads a process-wide [`SharedStore`](crate::shared::SharedStore)
+/// arena lock-free and keeps new nodes in a private overlay until the
+/// operation ends). Because `intern`, `nrm⁺`/`nrm⁻`, substitution,
+/// β-instantiation, extraction and kind checking are all written once
+/// against this trait, the two stores cannot drift semantically: they
+/// run the same code over the same [`TNode`] grammar, differing only in
+/// where nodes and memo entries live.
 ///
-/// All methods take `&mut self` — even reads — because the concurrent
-/// implementation lazily syncs its local mirror on first touch of an id.
+/// Every provided method that returns ids is one **public operation**:
+/// it ends with [`StoreOps::settle`], so the ids it hands out are final.
 pub trait StoreOps {
-    /// The node behind `id` (cloned; the concurrent store may first have
-    /// to copy it into the local mirror).
-    fn node_owned(&mut self, id: TypeId) -> TNode;
+    /// The node behind `id`.
+    fn node(&self, id: TypeId) -> &TNode;
 
     /// Hash-conses `node` into an id. Children of `node` must already be
     /// ids of this store.
     fn mk_node(&mut self, node: TNode) -> TypeId;
 
     /// `1 + max escaping de-Bruijn index` of the subtree (0 = closed).
-    fn binders_needed(&mut self, id: TypeId) -> u32;
+    fn binders_needed(&self, id: TypeId) -> u32;
 
     /// Memoized `nrm⁺` entry for `id`, if recorded.
     fn memo_pos_entry(&mut self, id: TypeId) -> Option<TypeId>;
@@ -624,15 +529,32 @@ pub trait StoreOps {
     /// (display-only; implementations may ignore it).
     fn note_binder_hint(&mut self, id: TypeId, name: Symbol);
 
+    /// The display name noted for a `Forall` id, if any.
+    fn binder_hint(&self, id: TypeId) -> Option<Symbol>;
+
+    /// Ends one public operation: makes every node it created permanent
+    /// and rewrites `ids` (the operation's results) to their permanent
+    /// ids. Returns `false` when the store instead discarded everything
+    /// the operation created and the operation must run again (a
+    /// worker that found its epoch retired mid-operation). A no-op for
+    /// stores whose ids are permanent at creation.
+    fn settle(&mut self, _ids: &mut [TypeId]) -> bool {
+        true
+    }
+
     // ------------------------------------------------- provided algorithms
+
+    /// The node behind `id`, cloned.
+    fn node_owned(&self, id: TypeId) -> TNode {
+        self.node(id).clone()
+    }
 
     /// Interns a boundary [`Type`] with α-canonical (de Bruijn) binders.
     fn intern(&mut self, t: &Type) -> TypeId
     where
         Self: Sized,
     {
-        let mut binders = Vec::new();
-        intern_under(self, t, &mut binders)
+        run_settled(self, |s| intern_under(s, t, &mut Vec::new()))
     }
 
     /// Memoized `nrm⁺` (Fig. 3) at the id level.
@@ -640,7 +562,7 @@ pub trait StoreOps {
     where
         Self: Sized,
     {
-        nrm_pos_id(self, id)
+        run_settled(self, |s| nrm_pos_id(s, id))
     }
 
     /// Memoized `nrm⁻` (Fig. 3): normalization under a pending `Dual`.
@@ -648,40 +570,7 @@ pub trait StoreOps {
     where
         Self: Sized,
     {
-        nrm_neg_id(self, id)
-    }
-
-    /// The directional operator `−(T)`: `−(−T) = +(T)`, else wrap in `−`.
-    fn dir_neg(&mut self, id: TypeId) -> TypeId
-    where
-        Self: Sized,
-    {
-        match self.node_owned(id) {
-            TNode::Neg(inner) => self.dir_pos(inner),
-            _ => self.mk_node(TNode::Neg(id)),
-        }
-    }
-
-    /// The directional operator `+(T)`: `+(−T) = −(T)`, else identity.
-    fn dir_pos(&mut self, id: TypeId) -> TypeId
-    where
-        Self: Sized,
-    {
-        match self.node_owned(id) {
-            TNode::Neg(inner) => self.dir_neg(inner),
-            _ => id,
-        }
-    }
-
-    /// Materialization `§(T).S`: `§(−T).U = ?T.U`, `§(T).U = !T.U`.
-    fn materialize(&mut self, payload: TypeId, cont: TypeId) -> TypeId
-    where
-        Self: Sized,
-    {
-        match self.node_owned(payload) {
-            TNode::Neg(inner) => self.mk_node(TNode::In(inner, cont)),
-            _ => self.mk_node(TNode::Out(payload, cont)),
-        }
+        run_settled(self, |s| nrm_neg_id(s, id))
     }
 
     /// Decides `T ≡_A U` as id equality of memoized normal forms.
@@ -689,7 +578,13 @@ pub trait StoreOps {
     where
         Self: Sized,
     {
-        self.nrm(a) == self.nrm(b)
+        // Compare after settling: only settled ids are canonical.
+        loop {
+            let mut nfs = [nrm_pos_id(self, a), nrm_pos_id(self, b)];
+            if self.settle(&mut nfs) {
+                return nfs[0] == nfs[1];
+            }
+        }
     }
 
     /// Simultaneous, capture-free substitution of ids for free variables.
@@ -700,8 +595,7 @@ pub trait StoreOps {
         if map.is_empty() {
             return id;
         }
-        let mut memo = HashMap::new();
-        subst_free_rec(self, id, map, &mut memo)
+        run_settled(self, |s| subst_free_rec(s, id, map, &mut HashMap::new()))
     }
 
     /// β-instantiation of the outermost `∀` binder of `forall_id` with
@@ -710,25 +604,62 @@ pub trait StoreOps {
     where
         Self: Sized,
     {
-        let TNode::Forall(_, body) = self.node_owned(forall_id) else {
+        let TNode::Forall(_, body) = *self.node(forall_id) else {
             return None;
         };
         debug_assert_eq!(self.binders_needed(arg), 0, "open argument to instantiate");
-        let mut memo = HashMap::new();
-        Some(replace_bound(self, body, 0, arg, &mut memo))
+        Some(run_settled(self, |s| {
+            replace_bound(s, body, 0, arg, &mut HashMap::new())
+        }))
+    }
+
+    /// Converts an id back to a boundary [`Type`] (see
+    /// [`TypeStore::extract`]).
+    fn extract(&self, id: TypeId) -> Type
+    where
+        Self: Sized,
+    {
+        let mut free = HashSet::new();
+        let mut seen = HashSet::new();
+        collect_free(self, id, &mut seen, &mut free);
+        let mut binders: Vec<Symbol> = Vec::new();
+        let mut next = 0usize;
+        extract_under(self, id, &mut binders, &mut next, &free)
+    }
+
+    /// Tree-node count of the type behind `id` (the Figure-10 x-axis
+    /// measure). DAG-aware: shared subtrees are counted per occurrence
+    /// but visited once.
+    fn node_count(&self, id: TypeId) -> u64
+    where
+        Self: Sized,
+    {
+        let mut memo: HashMap<TypeId, u64> = HashMap::new();
+        node_count_rec(self, id, &mut memo)
+    }
+}
+
+/// Runs one public operation until it settles, returning its settled
+/// result.
+fn run_settled<S: StoreOps>(s: &mut S, mut op: impl FnMut(&mut S) -> TypeId) -> TypeId {
+    loop {
+        let mut ids = [op(s)];
+        if s.settle(&mut ids) {
+            return ids[0];
+        }
     }
 }
 
 impl StoreOps for TypeStore {
-    fn node_owned(&mut self, id: TypeId) -> TNode {
-        self.nodes[id.index()].clone()
+    fn node(&self, id: TypeId) -> &TNode {
+        &self.nodes[id.index()]
     }
 
     fn mk_node(&mut self, node: TNode) -> TypeId {
         self.mk(node)
     }
 
-    fn binders_needed(&mut self, id: TypeId) -> u32 {
+    fn binders_needed(&self, id: TypeId) -> u32 {
         self.needs_binders[id.index()]
     }
 
@@ -750,6 +681,124 @@ impl StoreOps for TypeStore {
 
     fn note_binder_hint(&mut self, id: TypeId, name: Symbol) {
         self.record_binder_hint(id, name);
+    }
+
+    fn binder_hint(&self, id: TypeId) -> Option<Symbol> {
+        self.binder_hints.get(&id).copied()
+    }
+}
+
+/// True for a binder name worth remembering as a display hint: fresh
+/// `%`-suffixed names from capture-avoiding substitution are not.
+pub(crate) fn is_hint_worthy(name: Symbol) -> bool {
+    !name.as_str().contains('%')
+}
+
+fn collect_free<S: StoreOps>(
+    s: &S,
+    id: TypeId,
+    seen: &mut HashSet<TypeId>,
+    acc: &mut HashSet<Symbol>,
+) {
+    if !seen.insert(id) {
+        return;
+    }
+    match s.node(id) {
+        TNode::Free(v) => {
+            acc.insert(*v);
+        }
+        node => for_each_child(node, |c| collect_free(s, c, seen, acc)),
+    }
+}
+
+fn extract_under<S: StoreOps>(
+    s: &S,
+    id: TypeId,
+    binders: &mut Vec<Symbol>,
+    next: &mut usize,
+    free: &HashSet<Symbol>,
+) -> Type {
+    let mut go =
+        |id: TypeId, binders: &mut Vec<Symbol>| Arc::new(extract_under(s, id, binders, next, free));
+    match s.node(id) {
+        TNode::Unit => Type::Unit,
+        TNode::Base(b) => Type::Base(*b),
+        TNode::Free(v) => Type::Var(*v),
+        TNode::Bound(i) => {
+            let ix = binders
+                .len()
+                .checked_sub(1 + *i as usize)
+                .expect("dangling de-Bruijn index");
+            Type::Var(binders[ix])
+        }
+        TNode::Arrow(a, b) => Type::Arrow(go(*a, binders), go(*b, binders)),
+        TNode::Pair(a, b) => Type::Pair(go(*a, binders), go(*b, binders)),
+        TNode::Forall(k, body) => {
+            // Prefer the name the binder was first interned with; it
+            // must not shadow an in-scope binder (an inner Bound
+            // could silently re-bind) nor collide with a free
+            // variable of the whole type.
+            let hint = s
+                .binder_hint(id)
+                .filter(|h| !free.contains(h) && !binders.contains(h));
+            let name = hint.unwrap_or_else(|| canonical_binder(next, binders, free));
+            binders.push(name);
+            let b = extract_under(s, *body, binders, next, free);
+            binders.pop();
+            Type::Forall(name, *k, Arc::new(b))
+        }
+        TNode::In(p, t) => Type::In(go(*p, binders), go(*t, binders)),
+        TNode::Out(p, t) => Type::Out(go(*p, binders), go(*t, binders)),
+        TNode::EndIn => Type::EndIn,
+        TNode::EndOut => Type::EndOut,
+        TNode::Dual(t) => Type::Dual(go(*t, binders)),
+        TNode::Neg(p) => Type::Neg(go(*p, binders)),
+        TNode::Proto(name, args) => Type::Proto(
+            *name,
+            args.iter()
+                .map(|a| extract_under(s, *a, binders, next, free))
+                .collect(),
+        ),
+        TNode::Data(name, args) => Type::Data(
+            *name,
+            args.iter()
+                .map(|a| extract_under(s, *a, binders, next, free))
+                .collect(),
+        ),
+    }
+}
+
+fn node_count_rec<S: StoreOps>(s: &S, id: TypeId, memo: &mut HashMap<TypeId, u64>) -> u64 {
+    if let Some(&n) = memo.get(&id) {
+        return n;
+    }
+    let mut n = 1;
+    for_each_child(s.node(id), |c| n += node_count_rec(s, c, memo));
+    memo.insert(id, n);
+    n
+}
+
+/// The directional operator `−(T)`: `−(−T) = +(T)`, else wrap in `−`.
+fn dir_neg<S: StoreOps>(s: &mut S, id: TypeId) -> TypeId {
+    match *s.node(id) {
+        TNode::Neg(inner) => dir_pos(s, inner),
+        _ => s.mk_node(TNode::Neg(id)),
+    }
+}
+
+/// The directional operator `+(T)`: `+(−T) = −(T)`, else identity.
+fn dir_pos<S: StoreOps>(s: &mut S, id: TypeId) -> TypeId {
+    match *s.node(id) {
+        TNode::Neg(inner) => dir_neg(s, inner),
+        _ => id,
+    }
+}
+
+/// Materialization `§(T).S`: `§(−T).U = ?T.U`, `§(T).U = !T.U`.
+fn materialize<S: StoreOps>(s: &mut S, payload: TypeId, cont: TypeId) -> TypeId {
+    match *s.node(payload) {
+        TNode::Neg(inner) => s.mk_node(TNode::In(inner, cont)),
+        _ => s.mk_node(TNode::Out(payload, cont)),
     }
 }
 
@@ -837,16 +886,16 @@ fn nrm_pos_id<S: StoreOps>(s: &mut S, id: TypeId) -> TypeId {
         // nrm⁺(?T.S) = §(−(nrm⁺ T)).nrm⁺ S
         TNode::In(p, t) => {
             let p = nrm_pos_id(s, p);
-            let p = s.dir_neg(p);
+            let p = dir_neg(s, p);
             let t = nrm_pos_id(s, t);
-            s.materialize(p, t)
+            materialize(s, p, t)
         }
         // nrm⁺(!T.S) = §(+(nrm⁺ T)).nrm⁺ S
         TNode::Out(p, t) => {
             let p = nrm_pos_id(s, p);
-            let p = s.dir_pos(p);
+            let p = dir_pos(s, p);
             let t = nrm_pos_id(s, t);
-            s.materialize(p, t)
+            materialize(s, p, t)
         }
         TNode::Dual(t) => nrm_neg_id(s, t),
         TNode::Proto(name, args) => {
@@ -860,7 +909,7 @@ fn nrm_pos_id<S: StoreOps>(s: &mut S, id: TypeId) -> TypeId {
         // nrm⁺(−T) = −(nrm⁺ T)
         TNode::Neg(inner) => {
             let inner = nrm_pos_id(s, inner);
-            s.dir_neg(inner)
+            dir_neg(s, inner)
         }
     };
     s.memo_pos_record(id, n);
@@ -880,16 +929,16 @@ fn nrm_neg_id<S: StoreOps>(s: &mut S, id: TypeId) -> TypeId {
         // nrm⁻(?T.S) = §(+(nrm⁺ T)).nrm⁻ S
         TNode::In(p, t) => {
             let p = nrm_pos_id(s, p);
-            let p = s.dir_pos(p);
+            let p = dir_pos(s, p);
             let t = nrm_neg_id(s, t);
-            s.materialize(p, t)
+            materialize(s, p, t)
         }
         // nrm⁻(!T.S) = §(−(nrm⁺ T)).nrm⁻ S
         TNode::Out(p, t) => {
             let p = nrm_pos_id(s, p);
-            let p = s.dir_neg(p);
+            let p = dir_neg(s, p);
             let t = nrm_neg_id(s, t);
-            s.materialize(p, t)
+            materialize(s, p, t)
         }
         TNode::EndIn => s.mk_node(TNode::EndOut),
         TNode::EndOut => s.mk_node(TNode::EndIn),

@@ -1,4 +1,4 @@
-//! Stress tests of the epoch-snapshot store's publication protocol:
+//! Stress tests of the concurrent store's publication protocol:
 //! prefix consistency (an id, once handed out, resolves to the same
 //! node in every later generation), memo immutability (a published
 //! `nrm` entry never changes), and the lock-free warm path (a warm
@@ -149,8 +149,8 @@ fn nrm_memo_entries_never_change_once_published() {
 
 /// The tentpole invariant: once the store is warm and published, a
 /// brand-new worker replaying every query performs **zero** lock
-/// acquisitions — interns hit the snapshot's hash-consing layers, `nrm`
-/// hits the memo layers, and the arena is read lock-free.
+/// acquisitions — interns hit the lock-free hash-consing index, `nrm`
+/// hits the arena's memo cells, and the arena is read lock-free.
 #[test]
 fn warm_replay_acquires_zero_locks() {
     let shared = SharedStore::new_arc();

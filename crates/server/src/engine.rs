@@ -4,9 +4,11 @@
 //! Requests travel in **batches** (`Vec<Request>` per channel message),
 //! so channel synchronization amortizes over many requests — essential
 //! when a warm `equiv` is tens of nanoseconds of actual work. Each
-//! worker owns a sibling [`Session`] of the engine's injected one and
-//! **publishes its memo deltas after every batch**, so normal forms
-//! computed for one client warm every other worker's next batch.
+//! worker owns a sibling [`Session`] of the engine's injected one;
+//! nodes and normal forms it computes for one client are in the shared
+//! store as soon as the request's store operations return, warming
+//! every other worker. It **publishes after every batch** to fold its
+//! store counters and memory estimate into the store's statistics.
 //!
 //! **Every** op runs against the injected session — `equiv` resolution
 //! and interning, and the `check` op's elaboration/checking alike.
@@ -603,7 +605,7 @@ impl Engine {
         let obs = Arc::new(EngineObs::new(opts));
         if obs.enabled() {
             obs.m.workers.set(workers as i64);
-            // Store hooks: the cold interning slow path and snapshot
+            // Store hooks: cold-operation commits and generation
             // installs record into the same registry. First installer
             // wins — a second engine on the same store keeps the first
             // engine's hooks (and its registry).
@@ -795,9 +797,9 @@ fn worker_loop(
             ));
         }
         state.fold(&tally);
-        // Publish this batch's freshly computed normal forms as a new
-        // store generation: the next batch on *any* worker sees them.
-        // A no-op (no locks) when the batch was fully warm.
+        // Publish at the batch boundary: count a store generation if
+        // the batch committed nodes, and fold this worker's store
+        // counters and memory estimate. Takes no locks.
         if obs.enabled() {
             let span = Span::begin();
             session.publish();
@@ -932,10 +934,10 @@ fn handle(
                 if let Some(span) = span {
                     stages.work_ns = span.record(&mut ctx.lobs.equiv_ns);
                 }
-                // Stale sessions hold (possibly) local-private ids in
-                // `key`: correct for this worker, meaningless — or worse,
-                // colliding — in any sibling's mirror. Keep the verdict
-                // private (see `resolve_cached`).
+                // Stale sessions hold (possibly) private overlay ids in
+                // `key`: correct for this worker, meaningless to any
+                // sibling. Keep the verdict private (see
+                // `resolve_cached`).
                 if !session.is_stale() {
                     state.verdict_put(session.epoch(), key, v);
                 }
@@ -1052,10 +1054,11 @@ fn resolve_cached(
     if let Some(span) = span {
         stages.intern_ns += span.record(&mut ctx.lobs.intern_ns);
     }
-    // A session that is (or just went) stale interns local-private ids:
-    // they name this worker's mirror only, so they may warm the private
-    // cache but must never enter the shared shard — another worker at
-    // the same pinned epoch would read them against a different mirror.
+    // A session that is (or just went) stale interns private overlay
+    // ids: they name this worker's overlay only, so they may warm the
+    // private cache but must never enter the shared shard — another
+    // worker at the same pinned epoch would read them against its own
+    // overlay.
     if !session.is_stale() {
         state.parse_put(session.epoch(), src, id);
     }

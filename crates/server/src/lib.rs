@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! stdin/TCP ──lines──► reader ──batches──► worker pool ──► writer ──► stdout/TCP
-//!                                   │ WorkerStore mirrors (publish per batch)
+//!                                   │ WorkerStore handles (1 lock per cold op)
 //!                                   ▼
 //!                       SharedStore (arena + nrm memos)
 //!                       + per-pair verdict cache ("equiv memo")

@@ -205,15 +205,16 @@ pub struct Snapshot {
     /// Module (check-op) cache: entries, hits.
     pub module_entries: u64,
     pub module_hits: u64,
-    /// Store contention profile: current snapshot generation, snapshot
-    /// installs, cold interns that entered the writer mutex, and total
-    /// store lock acquisitions (flat across warm traffic).
+    /// Store contention profile: current store generation, generations
+    /// counted, cold operations that committed through the writer
+    /// mutex, and total store lock acquisitions (flat across warm
+    /// traffic).
     pub store_generation: u64,
     pub snapshot_installs: u64,
     pub store_slow_path: u64,
     pub store_locks: u64,
-    /// Bounded-memory profile: estimated live bytes (arena + snapshot
-    /// layers — a gauge, it *shrinks* at compactions), the compaction
+    /// Bounded-memory profile: estimated live bytes (arena + index +
+    /// worker-private state — a gauge, it *shrinks* at compactions), the compaction
     /// epoch, completed compactions, and total bytes reclaimed.
     pub store_bytes: u64,
     pub store_epoch: u64,

@@ -4,9 +4,8 @@
 //!
 //! # Snapshot protocol (why the warm path takes no locks)
 //!
-//! The registry reuses the epoch-snapshot pattern of
-//! [`algst_core::shared::SharedStore`]: the live tenant map is an
-//! immutable [`Arc`]'d snapshot tagged with a generation number, and
+//! The registry uses an epoch-snapshot pattern: the live tenant map is
+//! an immutable [`Arc`]'d snapshot tagged with a generation number, and
 //! every connection resolves tenants through a [`TenantView`] holding
 //! its own pin of that snapshot. Per batch, resolution is:
 //!
