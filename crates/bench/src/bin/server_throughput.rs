@@ -20,13 +20,12 @@
 //! ground truth, and reports requests/second plus per-request sojourn
 //! latency percentiles (p50/p95/p99, measured submit→response per
 //! batch). Each config also reports the store's **contention profile**
-//! (snapshot generation, installs, slow-path interns, store/cache lock
-//! acquisitions), so lock-freedom of the warm path shows up in the
-//! numbers, not just in unit tests. Each config runs `--repeat` times
-//! (default 3) and reports its best run: the streams are identical and
-//! the engines start cold, so inter-repeat spread is host scheduling
-//! noise, which would otherwise dominate worker-scaling comparisons on
-//! small shared hosts.
+//! (slow-path commits, store/cache lock acquisitions), so lock-freedom
+//! of the warm path shows up in the numbers, not just in unit tests.
+//! Each config runs `--repeat` times (default 3) and reports its best
+//! run: the streams are identical and the engines start cold, so
+//! inter-repeat spread is host scheduling noise, which would otherwise
+//! dominate worker-scaling comparisons on small shared hosts.
 //!
 //! **Cold-heavy mode** (on by default): the same sweep over a
 //! `cold_heavy_workload` — a high fresh-type ratio (default 750‰ of
@@ -254,8 +253,6 @@ struct ConfigRun {
     nodes: u64,
     nrm_hit_rate: f64,
     equiv_hit_rate: f64,
-    store_generation: u64,
-    snapshot_installs: u64,
     store_slow_path: u64,
     store_locks: u64,
     cache_locks: u64,
@@ -662,8 +659,6 @@ fn run_config(
         nodes: snapshot.nodes,
         nrm_hit_rate: snapshot.nrm_hit_rate(),
         equiv_hit_rate: snapshot.equiv_hit_rate(),
-        store_generation: snapshot.store_generation,
-        snapshot_installs: snapshot.snapshot_installs,
         store_slow_path: snapshot.store_slow_path,
         store_locks: snapshot.store_locks,
         cache_locks: snapshot.cache_locks,
@@ -702,10 +697,8 @@ fn run_sweep(
             run.mismatches,
         );
         eprintln!(
-            "{label}            contention: generation {}   installs {}   slow-path {} \
+            "{label}            contention: slow-path {} \
              ({:>5.2}% of requests)   store-locks {}   cache-locks {}",
-            run.store_generation,
-            run.snapshot_installs,
             run.store_slow_path,
             100.0 * run.store_slow_path as f64 / rendered.len() as f64,
             run.store_locks,
@@ -1164,14 +1157,13 @@ fn run_multi_tenant(args: &Args) -> MultiTenantRun {
 }
 
 /// Renders one engine-config run as a JSON object line, including the
-/// contention profile (generation, installs, slow-path, lock counters).
+/// contention profile (slow-path and lock counters).
 fn config_json(r: &ConfigRun) -> String {
     let mut out = format!(
         "{{\"workers\": {}, \"elapsed_ms\": {:.3}, \"req_per_s\": {:.1}, \
          \"p50_us\": {:.3}, \"p95_us\": {:.3}, \"p99_us\": {:.3}, \
          \"verdict_mismatches\": {}, \"warm_hits\": {}, \"nodes\": {}, \
          \"nrm_hit_rate\": {:.4}, \"equiv_hit_rate\": {:.4}, \
-         \"store_generation\": {}, \"snapshot_installs\": {}, \
          \"store_slow_path\": {}, \"store_locks\": {}, \"cache_locks\": {}",
         r.workers,
         r.elapsed.as_secs_f64() * 1e3,
@@ -1184,8 +1176,6 @@ fn config_json(r: &ConfigRun) -> String {
         r.nodes,
         r.nrm_hit_rate,
         r.equiv_hit_rate,
-        r.store_generation,
-        r.snapshot_installs,
         r.store_slow_path,
         r.store_locks,
         r.cache_locks,

@@ -290,8 +290,7 @@ impl Session {
 
     // ------------------------------------------------------- store plumbing
 
-    /// Marks a batch boundary: counts a store generation if this
-    /// session committed nodes since its last publish, and folds its
+    /// Marks a batch boundary: folds this session's
     /// hit/miss counters and private-memory estimate into the store's
     /// statistics. Takes no locks. Also runs when the session drops.
     /// Siblings do not wait for it: nodes and normal forms are shared
@@ -304,8 +303,7 @@ impl Session {
     /// so the caller sees its own counters reflected).
     ///
     /// Besides hit/miss rates, the stats expose the store's contention
-    /// profile: the store generation, how many generations were
-    /// counted, how many cold operations committed through the writer
+    /// profile: how many cold operations committed through the writer
     /// mutex (`slow_path`), and the total lock acquisitions — which
     /// stay flat across warm replays.
     ///
@@ -315,7 +313,6 @@ impl Session {
     /// assert!(session.equivalent(&Type::dual(Type::EndIn), &Type::EndOut));
     /// let stats = session.stats(); // publishes, then reads the counters
     /// assert!(stats.slow_path > 0, "cold interning took the writer mutex");
-    /// assert!(stats.generation >= 1 && stats.snapshot_installs >= 1);
     ///
     /// // A fully-warm replay acquires no locks at all.
     /// let locks_before = stats.lock_acquisitions;
@@ -345,8 +342,8 @@ impl Session {
         self.worker.repin()
     }
 
-    /// True when the store has compacted past this session's pinned
-    /// epoch. Ids produced while stale may be **private overlay ids**
+    /// True once a commit of this session has found the store compacted
+    /// past its pinned epoch. Ids produced while stale may be **private overlay ids**
     /// ([`TypeId::is_overlay`]) — they name this session's overlay only
     /// and must never be shared with other sessions (e.g. through an
     /// id-keyed cache), even one pinned to the same epoch. Cleared by

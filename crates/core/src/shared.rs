@@ -63,12 +63,10 @@
 //!   is deterministic and ids are canonical, so two workers computing
 //!   `nrm(id)` independently write the *same* value: a memo cell never
 //!   changes once set.
-//! * **Generations**: [`WorkerStore::publish`], which the serving engine
-//!   calls once per batch, folds the worker's counters into the store's
-//!   statistics and, when the worker committed nodes since its last
-//!   publish, counts a new store *generation* (a publication, with a
-//!   `snapshot_install` trace event). Generations stay flat across a
-//!   warm replay.
+//! * **Counters**: [`WorkerStore::publish`], which the serving engine
+//!   calls once per batch, folds the worker's hit/miss counters and its
+//!   private-memory estimate into the store's statistics. It takes no
+//!   lock and makes nothing visible that a commit has not already.
 //!
 //! ## Memory ordering invariants
 //!
@@ -116,15 +114,16 @@
 //!    old-index order — children precede parents in an append-only
 //!    arena, so every child is remapped before its parent needs it, and
 //!    the new arena is again topological. Memo cells come along
-//!    remapped (their values are live by the marking closure).
-//! 3. **Install**: make the new arena current with `epoch + 1` and a
-//!    new generation.
+//!    remapped. Workers set memo cells without the writer mutex, so a
+//!    cell may gain a value between the two passes; such a value is
+//!    copied only if the mark pass found it live.
+//! 3. **Install**: make the new arena current with `epoch + 1`.
 //!
 //! Ids are only meaningful *within* an epoch. A worker pins the arena
 //! of the epoch it attached to, and that arena stays alive and
 //! self-consistent no matter how many compactions happen underneath. A
 //! worker that discovers the store has moved to a newer epoch — when a
-//! commit or a publish finds a new epoch — marks itself **stale**
+//! commit finds a new epoch — marks itself **stale**
 //! instead of adopting mixed-epoch state. No commit appends to a
 //! retired arena, so its index is complete and frozen, and the stale
 //! worker keeps answering correctly on its own: the nodes it creates
@@ -148,7 +147,11 @@
 //! the per-tenant byte quota bound — covers the arena, its index and
 //! every worker's private state (overlay, private memo entries, hints,
 //! extraction memo). Workers report their private bytes at each
-//! publish, so the figure trails by at most one batch.
+//! publish, so the figure trails by at most one batch, and withdraw
+//! them at [`WorkerStore::repin`], which drops that state. A compaction
+//! retires every worker's private state with the old epoch, so its
+//! [`CompactionOutcome::bytes_after`] counts only the new arena and
+//! index.
 
 use crate::store::{compute_needs, for_each_child, is_hint_worthy, map_children};
 use crate::store::{StoreOps, TNode, TypeId};
@@ -229,6 +232,8 @@ enum Polarity {
     Neg,
 }
 
+const POLARITIES: [Polarity; 2] = [Polarity::Pos, Polarity::Neg];
+
 /// One epoch's id space: a lock-free append-only node arena plus its
 /// hash-consing index. Slots are written exactly once (before their
 /// index is ever handed out) and segments double in size, so a slot's
@@ -241,6 +246,9 @@ struct Arena {
     /// writer mutex; read (acquire) by anyone.
     committed: AtomicUsize,
     index: Index,
+    /// Private bytes reported by the workers pinned to this arena (their
+    /// share of the store's `worker_bytes`).
+    worker_bytes: AtomicU64,
 }
 
 impl Arena {
@@ -250,6 +258,7 @@ impl Arena {
             spine: [const { OnceLock::new() }; SPINE],
             committed: AtomicUsize::new(0),
             index: Index::new(),
+            worker_bytes: AtomicU64::new(0),
         }
     }
 
@@ -456,8 +465,6 @@ struct Counters {
     nrm_shared_hits: AtomicU64,
     /// `nrm` memo misses (a normal form actually computed).
     nrm_misses: AtomicU64,
-    /// Publishes of workers that had committed nodes.
-    publishes: AtomicU64,
     /// Workers ever attached.
     workers: AtomicU64,
     /// Overlay commits (each one writer-mutex acquisition).
@@ -504,13 +511,11 @@ pub struct StoreStats {
     /// included).
     pub arena_bytes: u64,
     /// Estimated bytes held by the arena's hash-consing index.
-    pub snapshot_bytes: u64,
+    pub index_bytes: u64,
     /// Estimated bytes of worker-private state (overlays, private memo
     /// entries, hints, extraction memos), as of each worker's last
     /// publish.
     pub worker_bytes: u64,
-    /// Entries in the arena's hash-consing index (equal to `nodes`).
-    pub intern_entries: u64,
     /// `nrm⁺` + `nrm⁻` memo cells set in the current epoch's arena.
     pub memo_entries: u64,
     /// Compaction epoch (0 = never compacted).
@@ -525,17 +530,8 @@ pub struct StoreStats {
     pub nrm_shared_hits: u64,
     /// `nrm⁺`/`nrm⁻` computations that found no memo entry.
     pub nrm_misses: u64,
-    /// Publishes of workers that had committed nodes.
-    pub publishes: u64,
     /// Workers ever attached to this store.
     pub workers: u64,
-    /// Current store generation (0 = nothing published yet). A
-    /// generation is counted per publication of committed nodes and
-    /// per compaction; it stays flat across a warm replay.
-    pub generation: u64,
-    /// Generations counted (publications + compactions); equal to
-    /// `generation`, which has no other source.
-    pub snapshot_installs: u64,
     /// Overlay commits, each of which took the writer mutex once.
     pub slow_path: u64,
     /// Total lock acquisitions on the shared store. A fully-warm
@@ -548,7 +544,7 @@ impl StoreStats {
     /// worker-private state. The quantity the `--max-store-bytes`
     /// policy bounds.
     pub fn live_bytes(&self) -> u64 {
-        self.arena_bytes + self.snapshot_bytes + self.worker_bytes
+        self.arena_bytes + self.index_bytes + self.worker_bytes
     }
 
     /// Fraction of `nrm` queries answered from a memo, in `[0, 1]`.
@@ -567,18 +563,15 @@ impl StoreStats {
 /// install with [`SharedStore::install_obs`].
 ///
 /// The hooks live entirely on the store's **cold** paths — overlay
-/// commits, publications and compactions — so installing them does not
-/// add a single instruction to warm lock-free reads.
+/// commits and compactions — so installing them does not add a single
+/// instruction to warm lock-free reads.
 #[derive(Debug)]
 pub struct StoreObs {
     /// Latency histogram for overlay commits (writer mutex + re-probes
     /// + arena appends).
     pub slow_path_ns: Arc<Histogram>,
-    /// Latency histogram for generation installs (publications and
-    /// compactions).
-    pub install_ns: Arc<Histogram>,
-    /// Event sink; receives a `snapshot_install` event (at
-    /// [`Level::Debug`]) for every new generation.
+    /// Event sink; receives a `store_compaction` event (at
+    /// [`Level::Debug`]) for every compaction.
     pub sink: Arc<TraceSink>,
 }
 
@@ -592,7 +585,9 @@ pub struct CompactionOutcome {
     /// Arena nodes before / after the pass.
     pub nodes_before: usize,
     pub nodes_after: usize,
-    /// Estimated live bytes before / after the pass.
+    /// Estimated live bytes before / after the pass: the arena and
+    /// index, plus (before) the private state of the workers pinned to
+    /// the old epoch, which goes at each worker's repin.
     pub bytes_before: u64,
     pub bytes_after: u64,
     /// Old-epoch id → new-epoch id, for every live id.
@@ -602,11 +597,8 @@ pub struct CompactionOutcome {
 /// The process-wide arena and index. Cheap to share (`Arc`); create
 /// per-thread handles with [`SharedStore::worker`].
 pub struct SharedStore {
-    /// Generations counted so far (publications + compactions).
-    generation: AtomicU64,
     /// Fast epoch probe: equals the current arena's epoch. Lets
-    /// [`WorkerStore::repin`] and publish cost one atomic load when
-    /// nothing moved.
+    /// [`WorkerStore::repin`] cost one atomic load when nothing moved.
     epoch: AtomicU64,
     /// Writer mutex over the current epoch's arena: serializes appends,
     /// compactions, and workers attaching or repinning. Never taken on
@@ -623,7 +615,7 @@ impl std::fmt::Debug for SharedStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedStore")
             .field("nodes", &self.len())
-            .field("generation", &self.generation.load(Ordering::Relaxed))
+            .field("epoch", &self.epoch())
             .finish()
     }
 }
@@ -642,7 +634,6 @@ impl SharedStore {
             .index_bytes
             .store(arena.index.bytes(), Ordering::Relaxed);
         SharedStore {
-            generation: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
             writer: Mutex::new(arena),
             counters: Counters::default(),
@@ -651,10 +642,10 @@ impl SharedStore {
         }
     }
 
-    /// Install cold-path observability hooks (slow-path and install
-    /// histograms plus an event sink). Returns `false` if hooks were
-    /// already installed — the first installer wins, so two engines
-    /// sharing one store do not double-count.
+    /// Install cold-path observability hooks (a slow-path histogram
+    /// plus an event sink). Returns `false` if hooks were already
+    /// installed — the first installer wins, so two engines sharing one
+    /// store do not double-count.
     pub fn install_obs(&self, obs: StoreObs) -> bool {
         self.obs.set(obs).is_ok()
     }
@@ -678,7 +669,6 @@ impl SharedStore {
             hints: HashMap::new(),
             extract_memo: HashMap::new(),
             extract_bytes: 0,
-            committed: false,
             reported_bytes: 0,
             stale: false,
             local_hits: 0,
@@ -714,14 +704,11 @@ impl SharedStore {
     pub fn stats(&self) -> StoreStats {
         let c = &self.counters;
         let z = &self.sizes;
-        let nodes = self.len() as u64;
-        let generation = self.generation.load(Ordering::Relaxed);
         StoreStats {
-            nodes,
+            nodes: self.len() as u64,
             arena_bytes: z.arena_bytes.load(Ordering::Relaxed),
-            snapshot_bytes: z.index_bytes.load(Ordering::Relaxed),
+            index_bytes: z.index_bytes.load(Ordering::Relaxed),
             worker_bytes: z.worker_bytes.load(Ordering::Relaxed),
-            intern_entries: nodes,
             memo_entries: z.memo_entries.load(Ordering::Relaxed),
             epoch: self.epoch.load(Ordering::Relaxed),
             compactions: c.compactions.load(Ordering::Relaxed),
@@ -730,10 +717,7 @@ impl SharedStore {
                 + c.nrm_shared_hits.load(Ordering::Relaxed),
             nrm_shared_hits: c.nrm_shared_hits.load(Ordering::Relaxed),
             nrm_misses: c.nrm_misses.load(Ordering::Relaxed),
-            publishes: c.publishes.load(Ordering::Relaxed),
             workers: c.workers.load(Ordering::Relaxed),
-            generation,
-            snapshot_installs: generation,
             slow_path: c.slow_path.load(Ordering::Relaxed),
             lock_acquisitions: c.lock_acquisitions.load(Ordering::Relaxed),
         }
@@ -764,27 +748,6 @@ impl SharedStore {
             }
             Ok(_) => {}
             Err(prev) => debug_assert_eq!(prev, nf, "a memo cell changed"),
-        }
-    }
-
-    /// Counts a new generation: a publication of committed nodes or a
-    /// compaction. Cold path only.
-    fn install(&self, span: Option<Span>, nodes: usize) {
-        let generation = self.generation.fetch_add(1, Ordering::Relaxed) + 1;
-        if let (Some(obs), Some(span)) = (self.obs.get(), span) {
-            let ns = span.elapsed_ns();
-            obs.install_ns.record(ns);
-            if obs.sink.enabled(Level::Debug) {
-                obs.sink.event(
-                    Level::Debug,
-                    "snapshot_install",
-                    &[
-                        ("generation", Field::U64(generation)),
-                        ("nodes", Field::U64(nodes as u64)),
-                        ("install_us", Field::F64(ns as f64 / 1_000.0)),
-                    ],
-                );
-            }
         }
     }
 
@@ -842,81 +805,35 @@ impl SharedStore {
         self.count_lock();
         let mut current = self.writer.lock();
         let old_arena = Arc::clone(&current);
-        let old_len = old_arena.len();
-        let bytes_before = self.live_bytes();
-        let polarities = [Polarity::Pos, Polarity::Neg];
-
-        // Mark: roots → children closure, plus memo values of live ids.
-        let mut live = vec![false; old_len];
-        let mut stack: Vec<usize> = roots
-            .iter()
-            .map(|r| r.index())
-            .filter(|&i| i < old_len)
-            .collect();
-        while let Some(i) = stack.pop() {
-            if live[i] {
-                continue;
-            }
-            live[i] = true;
-            let slot = old_arena.get(i);
-            for_each_child(&slot.node, |c| stack.push(c.index()));
-            stack.extend(
-                polarities
-                    .iter()
-                    .filter_map(|&p| slot.memo(p))
-                    .map(TypeId::index),
-            );
-        }
-
-        // Rebuild in old-index order: children precede parents, so every
-        // child is remapped before a parent mentions it, and the new
-        // arena is again topological (store invariant). Memo values may
-        // point forward, so they are copied in a second pass.
-        let new_arena = Arc::new(Arena::new(old_arena.epoch + 1));
-        let mut remap_vec: Vec<Option<TypeId>> = vec![None; old_len];
-        let mut arena_bytes = 0u64;
-        for (i, alive) in live.iter().enumerate() {
-            if !alive {
-                continue;
-            }
-            let old = old_arena.get(i);
-            let node = map_children(&old.node, |c| {
-                remap_vec[c.index()].expect("child of a live node must be live")
-            });
-            arena_bytes += node_bytes(&node);
-            remap_vec[i] = Some(new_arena.intern_locked(node, old.needs).0);
-        }
-        let mut memo_entries = 0;
-        for (i, new) in remap_vec.iter().enumerate() {
-            let Some(new) = new else { continue };
-            let (old, new) = (old_arena.get(i), new_arena.get(new.index()));
-            for p in polarities {
-                if let Some(v) = old.memo(p) {
-                    // The value is live by the marking closure.
-                    let v = remap_vec[v.index()].unwrap();
-                    new.cell(p).store(v.index() as u32, Ordering::Relaxed);
-                    memo_entries += 1;
-                }
-            }
-        }
+        // Only the private state of workers pinned to this epoch: a
+        // stale worker's was counted by the compaction that retired it.
+        let bytes_before = self.sizes.arena_bytes.load(Ordering::Relaxed)
+            + self.sizes.index_bytes.load(Ordering::Relaxed)
+            + old_arena.worker_bytes.load(Ordering::Relaxed);
+        let live = old_arena.mark(roots);
+        let Rebuilt {
+            arena: new_arena,
+            remap: remap_vec,
+            arena_bytes,
+            memo_entries,
+        } = old_arena.rebuild(&live);
 
         let (epoch, nodes_after) = (new_arena.epoch, new_arena.len());
+        let index_bytes = new_arena.index.bytes();
         self.sizes.nodes.store(nodes_after, Ordering::Release);
         self.sizes.arena_bytes.store(arena_bytes, Ordering::Relaxed);
-        self.sizes
-            .index_bytes
-            .store(new_arena.index.bytes(), Ordering::Relaxed);
+        self.sizes.index_bytes.store(index_bytes, Ordering::Relaxed);
         self.sizes
             .memo_entries
             .store(memo_entries, Ordering::Relaxed);
         // Workers attach through the writer mutex, which also publishes
-        // the memo cells written above.
-        *current = new_arena;
+        // the memo cells written by the rebuild.
+        *current = Arc::new(new_arena);
         self.epoch.store(epoch, Ordering::Release);
         drop(current);
         self.counters.compactions.fetch_add(1, Ordering::Relaxed);
 
-        let bytes_after = self.live_bytes();
+        let bytes_after = arena_bytes + index_bytes;
         self.counters
             .reclaimed_bytes
             .fetch_add(bytes_before.saturating_sub(bytes_after), Ordering::Relaxed);
@@ -925,31 +842,104 @@ impl SharedStore {
             .enumerate()
             .filter_map(|(i, n)| n.map(|n| (TypeId::from_index(i), n)))
             .collect();
-        if let Some(obs) = self.obs.get() {
+        if let (Some(obs), Some(span)) = (self.obs.get(), span) {
             if obs.sink.enabled(Level::Debug) {
-                let ns = span.as_ref().map_or(0, Span::elapsed_ns);
                 obs.sink.event(
                     Level::Debug,
                     "store_compaction",
                     &[
                         ("epoch", Field::U64(epoch)),
-                        ("nodes_before", Field::U64(old_len as u64)),
+                        ("nodes_before", Field::U64(live.len() as u64)),
                         ("nodes_after", Field::U64(nodes_after as u64)),
                         ("bytes_before", Field::U64(bytes_before)),
                         ("bytes_after", Field::U64(bytes_after)),
-                        ("compact_us", Field::F64(ns as f64 / 1_000.0)),
+                        ("compact_us", Field::F64(span.elapsed_ns() as f64 / 1_000.0)),
                     ],
                 );
             }
         }
-        self.install(span, nodes_after);
         CompactionOutcome {
             epoch,
-            nodes_before: old_len,
+            nodes_before: live.len(),
             nodes_after,
             bytes_before,
             bytes_after,
             remap,
+        }
+    }
+}
+
+/// A compacted copy of an arena (see [`Arena::rebuild`]).
+struct Rebuilt {
+    arena: Arena,
+    /// Old index → new id, for every live old index.
+    remap: Vec<Option<TypeId>>,
+    arena_bytes: u64,
+    memo_entries: u64,
+}
+
+impl Arena {
+    /// Compaction's mark pass: the ids reachable from `roots` through
+    /// node children and memo values, as a flag per arena index. Roots
+    /// outside the arena are ignored.
+    fn mark(&self, roots: &[TypeId]) -> Vec<bool> {
+        let len = self.len();
+        let mut live = vec![false; len];
+        let mut stack: Vec<usize> = roots
+            .iter()
+            .map(|r| r.index())
+            .filter(|&i| i < len)
+            .collect();
+        while let Some(i) = stack.pop() {
+            if live[i] {
+                continue;
+            }
+            live[i] = true;
+            let slot = self.get(i);
+            for_each_child(&slot.node, |c| stack.push(c.index()));
+            for p in POLARITIES {
+                stack.extend(slot.memo(p).map(TypeId::index));
+            }
+        }
+        live
+    }
+
+    /// Compaction's copy pass: the `live` nodes in a fresh arena of the
+    /// next epoch, in old-index order. Children precede parents, so
+    /// every child is remapped before a parent mentions it, and the new
+    /// arena is again topological (store invariant). Memo values may
+    /// point forward, so they are copied in a second pass.
+    fn rebuild(&self, live: &[bool]) -> Rebuilt {
+        let arena = Arena::new(self.epoch + 1);
+        let mut remap: Vec<Option<TypeId>> = vec![None; live.len()];
+        let mut arena_bytes = 0;
+        for (i, _) in live.iter().enumerate().filter(|(_, &alive)| alive) {
+            let old = self.get(i);
+            let node = map_children(&old.node, |c| {
+                remap[c.index()].expect("child of a live node must be live")
+            });
+            arena_bytes += node_bytes(&node);
+            remap[i] = Some(arena.intern_locked(node, old.needs).0);
+        }
+        let mut memo_entries = 0;
+        for (i, new) in remap.iter().enumerate() {
+            let Some(new) = new else { continue };
+            let (old, new) = (self.get(i), arena.get(new.index()));
+            for p in POLARITIES {
+                // A worker may have set this cell after the mark pass
+                // (memo cells are written without the writer mutex), so
+                // its value is copied only if it was marked live.
+                if let Some(v) = old.memo(p).and_then(|v| remap[v.index()]) {
+                    new.cell(p).store(v.index() as u32, Ordering::Relaxed);
+                    memo_entries += 1;
+                }
+            }
+        }
+        Rebuilt {
+            arena,
+            remap,
+            arena_bytes,
+            memo_entries,
         }
     }
 }
@@ -1004,14 +994,11 @@ pub struct WorkerStore {
     /// Whole-tree extraction memo, with each tree's estimated bytes.
     extract_memo: HashMap<TypeId, (Type, u64)>,
     extract_bytes: u64,
-    /// Nodes committed since the last publish.
-    committed: bool,
     /// Private bytes last added to the store's `worker_bytes`.
     reported_bytes: u64,
     /// Set when the store compacted past this worker's pinned epoch.
     /// A stale worker keeps answering from its pinned arena, keeps cold
-    /// nodes in its overlay and memo entries private, and publishes
-    /// nothing — until [`WorkerStore::repin`] adopts the new epoch.
+    /// nodes in its overlay and memo entries private — until [`WorkerStore::repin`] adopts the new epoch.
     stale: bool,
     local_hits: u64,
     shared_hits: u64,
@@ -1039,8 +1026,8 @@ impl WorkerStore {
         self.arena.epoch
     }
 
-    /// True when the store has compacted past this worker's pinned
-    /// epoch (cleared by [`WorkerStore::repin`]).
+    /// True once a commit has found the store compacted past this
+    /// worker's pinned epoch (cleared by [`WorkerStore::repin`]).
     pub fn is_stale(&self) -> bool {
         self.stale
     }
@@ -1049,12 +1036,13 @@ impl WorkerStore {
     /// in the arena: its overlay nodes and its deferred memo entries.
     fn discard_operation(&mut self) {
         self.overlay = Overlay::default();
-        self.private_pos.clear();
-        self.private_neg.clear();
+        self.private_pos = HashMap::new();
+        self.private_neg = HashMap::new();
     }
 
     /// Adopts the newest epoch after a compaction: drops the overlay,
-    /// private memo entries, hints and the extraction memo. Returns true
+    /// private memo entries, hints and the extraction memo, and
+    /// withdraws their bytes from the store's statistics. Returns true
     /// when the epoch actually changed — the caller must then drop or
     /// remap every `TypeId`-keyed cache it holds, because old ids no
     /// longer name the store's arena. Costs one atomic load when the
@@ -1064,13 +1052,11 @@ impl WorkerStore {
         if !self.stale && self.shared.epoch.load(Ordering::Acquire) == self.arena.epoch {
             return false;
         }
-        self.overlay = Overlay::default();
-        self.private_pos = HashMap::new();
-        self.private_neg = HashMap::new();
+        self.discard_operation();
         self.hints = HashMap::new();
         self.extract_memo = HashMap::new();
         self.extract_bytes = 0;
-        self.committed = false;
+        self.report_bytes(0);
         self.arena = self.shared.current_arena();
         self.stale = false;
         true
@@ -1085,7 +1071,6 @@ impl WorkerStore {
         let Some(remap) = self.shared.commit(&self.arena, &self.overlay.slots) else {
             return false;
         };
-        self.committed = true;
         let public = |id: TypeId| id.overlay_index().map_or(id, |i| remap[i]);
         for id in ids {
             *id = public(*id);
@@ -1142,28 +1127,26 @@ impl WorkerStore {
         (overlay + memo + hints + extract) as u64 + self.extract_bytes
     }
 
-    /// Marks a batch boundary: when the worker committed nodes since
-    /// its last publish, counts a new store generation; folds the
-    /// worker's hit/miss counters into the shared statistics and
-    /// reports its private bytes. Takes no locks. A publish that finds
-    /// the store compacted past the worker's epoch marks it stale.
+    /// Replaces this worker's share of the store's `worker_bytes` (and
+    /// of its pinned arena's) with `bytes`.
+    fn report_bytes(&mut self, bytes: u64) {
+        if bytes != self.reported_bytes {
+            for z in [&self.shared.sizes.worker_bytes, &self.arena.worker_bytes] {
+                z.fetch_add(bytes, Ordering::Relaxed);
+                z.fetch_sub(self.reported_bytes, Ordering::Relaxed);
+            }
+            self.reported_bytes = bytes;
+        }
+    }
+
+    /// Marks a batch boundary: folds the worker's hit/miss counters
+    /// into the shared statistics and reports its private bytes. Takes
+    /// no locks.
     pub fn publish(&mut self) {
         debug_assert!(
             self.stale || self.overlay.slots.is_empty(),
             "publish inside an unsettled operation"
         );
-        if std::mem::take(&mut self.committed) && !self.stale {
-            if self.shared.epoch.load(Ordering::Acquire) == self.arena.epoch {
-                let span = self.shared.obs.get().map(|_| Span::begin());
-                self.shared.install(span, self.arena.len());
-                self.shared
-                    .counters
-                    .publishes
-                    .fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.stale = true;
-            }
-        }
         let c = &self.shared.counters;
         for (local, shared) in [
             (&mut self.local_hits, &c.nrm_local_hits),
@@ -1174,13 +1157,7 @@ impl WorkerStore {
                 shared.fetch_add(std::mem::take(local), Ordering::Relaxed);
             }
         }
-        let bytes = self.private_bytes();
-        if bytes != self.reported_bytes {
-            let z = &self.shared.sizes.worker_bytes;
-            z.fetch_add(bytes, Ordering::Relaxed);
-            z.fetch_sub(self.reported_bytes, Ordering::Relaxed);
-            self.reported_bytes = bytes;
-        }
+        self.report_bytes(self.private_bytes());
     }
 
     /// Memoized normal form of `id` (overlay slot → arena cell →
@@ -1398,10 +1375,7 @@ impl Drop for WorkerStore {
             self.discard_operation();
         }
         self.publish();
-        self.shared
-            .sizes
-            .worker_bytes
-            .fetch_sub(self.reported_bytes, Ordering::Relaxed);
+        self.report_bytes(0);
     }
 }
 
@@ -1581,8 +1555,6 @@ mod tests {
         assert!(stats.nrm_hits > 0, "second contact hits the memo");
         assert!(stats.nrm_hit_rate() > 0.0 && stats.nrm_hit_rate() < 1.0);
         assert_eq!(stats.workers, 1);
-        assert!(stats.generation >= 1, "publish installs a generation");
-        assert!(stats.snapshot_installs >= 1);
         assert!(stats.slow_path > 0, "cold interning walks the slow path");
     }
 
@@ -1628,6 +1600,62 @@ mod tests {
             misses_before,
             "compaction must keep the warm working set warm"
         );
+    }
+
+    /// Workers set memo cells without the writer mutex, so a cell of a
+    /// live id may gain a value between compaction's mark and copy
+    /// passes. The copy keeps it only if it was marked live.
+    #[test]
+    fn compaction_skips_memo_values_set_after_marking() {
+        let shared = SharedStore::new_arc();
+        let mut w = shared.worker();
+        let t = Type::dual(Type::EndOut);
+        let id = w.intern(&t);
+        // The normal form's nodes exist, but no memo cell names them.
+        let nf = w.intern(&nrm_pos(&t));
+        let arena = Arc::clone(&w.arena);
+        let live = arena.mark(&[id]);
+        assert!(!live[nf.index()]);
+
+        // A worker records nrm(id) lock-free between the two passes.
+        let commits = shared.stats().slow_path;
+        assert_eq!(w.nrm(id), nf);
+        assert_eq!(shared.stats().slow_path, commits, "no node was created");
+        assert_eq!(arena.get(id.index()).memo(Polarity::Pos), Some(nf));
+
+        let rebuilt = arena.rebuild(&live);
+        assert_eq!(rebuilt.remap[nf.index()], None);
+        let new = rebuilt.remap[id.index()].expect("the root is live");
+        assert_eq!(rebuilt.arena.get(new.index()).memo(Polarity::Pos), None);
+        assert_eq!(rebuilt.memo_entries, 0);
+    }
+
+    /// A worker's private bytes leave the store's `live_bytes` when a
+    /// repin drops them, and a compaction's `bytes_after` already
+    /// leaves them out.
+    #[test]
+    fn repin_withdraws_private_bytes() {
+        let shared = SharedStore::new_arc();
+        let mut w = shared.worker();
+        for t in samples() {
+            let id = w.intern(&t);
+            w.extract_cached(id);
+        }
+        w.publish();
+        let private = shared.stats().worker_bytes;
+        assert!(private > 0, "the extraction memo is counted");
+
+        let outcome = shared.compact(&[]);
+        let after = shared.stats();
+        assert_eq!(outcome.bytes_after, after.arena_bytes + after.index_bytes);
+        assert_eq!(after.worker_bytes, private, "not dropped yet");
+        // A second compaction before the repin does not count the stale
+        // worker's bytes as reclaimed again.
+        let second = shared.compact(&[]);
+        assert_eq!(second.bytes_before, outcome.bytes_after);
+        assert!(w.repin());
+        assert_eq!(shared.stats().worker_bytes, 0);
+        assert_eq!(shared.live_bytes(), second.bytes_after);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Stress tests of the concurrent store's publication protocol:
 //! prefix consistency (an id, once handed out, resolves to the same
-//! node in every later generation), memo immutability (a published
+//! node ever after), memo immutability (a published
 //! `nrm` entry never changes), and the lock-free warm path (a warm
 //! replay acquires zero store locks).
 
@@ -38,7 +38,7 @@ fn family(i: usize) -> Type {
 /// Eight threads intern overlapping slices of the family, publishing at
 /// staggered points. Every id any thread was handed must resolve to an
 /// α-equal type — and re-intern to the same id — through a fresh worker
-/// attached after all generations were installed.
+/// attached after every thread has finished.
 #[test]
 fn ids_resolve_to_the_same_node_in_all_later_generations() {
     let shared = SharedStore::new_arc();
@@ -75,7 +75,7 @@ fn ids_resolve_to_the_same_node_in_all_later_generations() {
         }
     }
 
-    // A fresh worker, over the final generation, resolves every id that
+    // A fresh worker, over the final arena, resolves every id that
     // was ever handed out to the exact node it named at intern time.
     let mut w = shared.worker();
     for (id, t) in recorded.iter().flatten() {
@@ -88,7 +88,7 @@ fn ids_resolve_to_the_same_node_in_all_later_generations() {
 
 /// Eight threads normalize the same ids concurrently with staggered
 /// publishes: whatever `nrm` entry each thread observed must agree with
-/// every other thread's and with the final published generation —
+/// every other thread's and with the final arena —
 /// entries never change once published.
 #[test]
 fn nrm_memo_entries_never_change_once_published() {
@@ -133,7 +133,7 @@ fn nrm_memo_entries_never_change_once_published() {
             nf.insert(id, n);
         }
     }
-    // And the final generation serves exactly those entries.
+    // And the final arena serves exactly those entries.
     let mut w = shared.worker();
     let before = shared.stats().nrm_misses;
     for (&id, &n) in &nf {
@@ -179,8 +179,5 @@ fn warm_replay_acquires_zero_locks() {
         after.lock_acquisitions - baseline.lock_acquisitions
     );
     assert_eq!(after.slow_path, baseline.slow_path, "warm intern went cold");
-    assert_eq!(
-        after.generation, baseline.generation,
-        "warm replay installed a generation"
-    );
+    assert_eq!(after.nodes, baseline.nodes, "warm replay created a node");
 }

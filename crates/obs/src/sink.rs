@@ -1,5 +1,5 @@
 //! Structured JSON-lines event sink: slow-request traces, connection
-//! lifecycle, snapshot installs.
+//! lifecycle, store compactions.
 
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
@@ -14,7 +14,7 @@ pub enum Level {
     Error,
     /// Operational events: connection open/close/timeout, slow requests.
     Info,
-    /// High-volume detail: snapshot installs, per-batch internals.
+    /// High-volume detail: store compactions, per-batch internals.
     Debug,
 }
 

@@ -605,14 +605,13 @@ impl Engine {
         let obs = Arc::new(EngineObs::new(opts));
         if obs.enabled() {
             obs.m.workers.set(workers as i64);
-            // Store hooks: cold-operation commits and generation
-            // installs record into the same registry. First installer
+            // Store hooks: cold-operation commits record into the
+            // same registry. First installer
             // wins — a second engine on the same store keeps the first
             // engine's hooks (and its registry).
             let registry = &obs.opts.registry;
             shared.install_obs(StoreObs {
                 slow_path_ns: registry.histogram("store_slow_path_ns"),
-                install_ns: registry.histogram("snapshot_install_ns"),
                 sink: Arc::clone(&obs.opts.sink),
             });
         }
@@ -797,8 +796,7 @@ fn worker_loop(
             ));
         }
         state.fold(&tally);
-        // Publish at the batch boundary: count a store generation if
-        // the batch committed nodes, and fold this worker's store
+        // Publish at the batch boundary: fold this worker's store
         // counters and memory estimate. Takes no locks.
         if obs.enabled() {
             let span = Span::begin();
@@ -1220,21 +1218,18 @@ fn metrics_fields(
     let s = store.stats();
     for (name, value) in [
         ("store_nodes", s.nodes),
-        ("store_generation", s.generation),
         ("store_epoch", s.epoch),
         ("store_bytes", s.live_bytes()),
         ("store_arena_bytes", s.arena_bytes),
-        ("store_snapshot_bytes", s.snapshot_bytes),
-        ("store_intern_entries", s.intern_entries),
+        ("store_index_bytes", s.index_bytes),
+        ("store_worker_bytes", s.worker_bytes),
         ("store_memo_entries", s.memo_entries),
         ("store_compactions", s.compactions),
         ("store_reclaimed_bytes", s.reclaimed_bytes),
-        ("store_snapshot_installs", s.snapshot_installs),
         ("store_slow_path_total", s.slow_path),
         ("store_lock_acquisitions", s.lock_acquisitions),
         ("store_nrm_hits", s.nrm_hits),
         ("store_nrm_misses", s.nrm_misses),
-        ("store_publishes", s.publishes),
         ("store_workers", s.workers),
     ] {
         fields.push((name.to_string(), Value::Int(value as i64)));
@@ -1388,7 +1383,7 @@ mod tests {
             after.store_locks, before.store_locks,
             "warm replay must not lock the type store"
         );
-        assert_eq!(after.store_generation, before.store_generation);
+        assert_eq!(after.nodes, before.nodes, "warm replay created no node");
         // Every request (5 batches × 3) landed in the latency histogram…
         let snap = registry.snapshot();
         let hist = |name: &str| {
@@ -1445,7 +1440,6 @@ mod tests {
             "request_service_ns_p99",
             "queue_sojourn_ns_count",
             "store_slow_path_ns_count",
-            "snapshot_install_ns_count",
             "store_nodes",
             "store_lock_acquisitions",
             "cache_equiv_entries",

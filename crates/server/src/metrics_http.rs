@@ -162,18 +162,15 @@ pub fn exposition(registry: &Registry, store: &SharedStore) -> String {
         // never carries two TYPE lines for the same family.
         ("store_compaction_passes_total", s.compactions),
         ("store_epoch", s.epoch),
-        ("store_generation", s.generation),
-        ("store_intern_entries", s.intern_entries),
+        ("store_index_bytes", s.index_bytes),
         ("store_lock_acquisitions_total", s.lock_acquisitions),
         ("store_memo_entries", s.memo_entries),
         ("store_nodes", s.nodes),
         ("store_nrm_hits_total", s.nrm_hits),
         ("store_nrm_misses_total", s.nrm_misses),
-        ("store_publishes_total", s.publishes),
         ("store_reclaimed_bytes", s.reclaimed_bytes),
         ("store_slow_path_total", s.slow_path),
-        ("store_snapshot_bytes", s.snapshot_bytes),
-        ("store_snapshot_installs_total", s.snapshot_installs),
+        ("store_worker_bytes", s.worker_bytes),
         ("store_workers", s.workers),
     ] {
         out.push_str("# TYPE algst_");

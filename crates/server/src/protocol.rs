@@ -205,12 +205,9 @@ pub struct Snapshot {
     /// Module (check-op) cache: entries, hits.
     pub module_entries: u64,
     pub module_hits: u64,
-    /// Store contention profile: current store generation, generations
-    /// counted, cold operations that committed through the writer
-    /// mutex, and total store lock acquisitions (flat across warm
-    /// traffic).
-    pub store_generation: u64,
-    pub snapshot_installs: u64,
+    /// Store contention profile: cold operations that committed
+    /// through the writer mutex, and total store lock acquisitions
+    /// (flat across warm traffic).
     pub store_slow_path: u64,
     pub store_locks: u64,
     /// Bounded-memory profile: estimated live bytes (arena + index +
@@ -261,8 +258,6 @@ impl Snapshot {
         self.nodes = s.nodes;
         self.nrm_hits = s.nrm_hits;
         self.nrm_misses = s.nrm_misses;
-        self.store_generation = s.generation;
-        self.snapshot_installs = s.snapshot_installs;
         self.store_slow_path = s.slow_path;
         self.store_locks = s.lock_acquisitions;
         self.store_bytes = s.live_bytes();
@@ -297,10 +292,6 @@ impl Snapshot {
             parse_entries: self.parse_entries.saturating_sub(prev.parse_entries),
             module_entries: self.module_entries.saturating_sub(prev.module_entries),
             module_hits: self.module_hits.saturating_sub(prev.module_hits),
-            store_generation: self.store_generation.saturating_sub(prev.store_generation),
-            snapshot_installs: self
-                .snapshot_installs
-                .saturating_sub(prev.snapshot_installs),
             store_slow_path: self.store_slow_path.saturating_sub(prev.store_slow_path),
             store_locks: self.store_locks.saturating_sub(prev.store_locks),
             store_bytes: self.store_bytes,
@@ -468,8 +459,6 @@ impl Response {
                     .field_u64("parse_entries", s.parse_entries)
                     .field_u64("module_entries", s.module_entries)
                     .field_u64("module_hits", s.module_hits)
-                    .field_u64("store_generation", s.store_generation)
-                    .field_u64("snapshot_installs", s.snapshot_installs)
                     .field_u64("store_slow_path", s.store_slow_path)
                     .field_u64("store_locks", s.store_locks)
                     .field_u64("store_bytes", s.store_bytes)

@@ -723,9 +723,8 @@ fn router_stats_line(router: Router<'_>) -> String {
 /// an id), for `--stats-on-exit`.
 ///
 /// Besides cache hit rates, the line carries the store's contention
-/// profile — snapshot generation, installs, slow-path (writer-mutex)
-/// entries, and lock counts — so "the warm path took no locks" is
-/// observable from the outside:
+/// profile — slow-path (writer-mutex) commits and lock counts — so
+/// "the warm path took no locks" is observable from the outside:
 ///
 /// ```
 /// use algst_core::Session;
@@ -736,8 +735,7 @@ fn router_stats_line(router: Router<'_>) -> String {
 /// let req = parse_request(r#"{"op":"equiv","lhs":"!Int.End!","rhs":"Dual (?Int.End?)"}"#, 1);
 /// engine.process(vec![req]);
 /// let line = stats_line(&engine);
-/// for key in ["store_generation", "snapshot_installs", "store_slow_path",
-///             "store_locks", "cache_locks"] {
+/// for key in ["store_slow_path", "store_locks", "store_bytes", "cache_locks"] {
 ///     assert!(line.contains(key), "{key} missing from {line}");
 /// }
 /// ```

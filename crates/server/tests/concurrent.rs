@@ -28,12 +28,26 @@ const CHECKS: &[(&str, bool)] = &[
 ];
 
 fn send_shutdown(addr: std::net::SocketAddr) {
-    let mut stream = TcpStream::connect(addr).expect("connect for shutdown");
-    stream.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
-    let mut line = String::new();
-    let mut reader = BufReader::new(stream);
-    reader.read_line(&mut line).unwrap();
-    assert!(line.contains("\"shutdown\""), "unexpected: {line}");
+    // A connection slot frees only when the server notices a client's
+    // EOF, so at `max_conns` the shutdown client may be refused for a
+    // moment; it retries until it gets a slot.
+    for _ in 0..100 {
+        let reply = (|| -> std::io::Result<String> {
+            let mut stream = TcpStream::connect(addr)?;
+            stream.write_all(b"{\"op\":\"shutdown\"}\n")?;
+            let mut line = String::new();
+            BufReader::new(stream).read_line(&mut line)?;
+            Ok(line)
+        })();
+        match reply {
+            Ok(line) if !line.contains("capacity") => {
+                assert!(line.contains("\"shutdown\""), "unexpected: {line}");
+                return;
+            }
+            _ => std::thread::sleep(Duration::from_millis(10)),
+        }
+    }
+    panic!("shutdown never got a connection slot");
 }
 
 /// 8 clients pipeline interleaved equiv/check traffic over one shared

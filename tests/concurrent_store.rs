@@ -106,15 +106,13 @@ fn fully_warm_200k_request_replay_takes_zero_locks() {
     let workload = equiv_workload(&[&eq, &ne], 200_000, 17);
 
     let shared = SharedStore::new_arc();
-    // Observability on from the first cold intern: store slow-path and
-    // install histograms, plus a Debug-level buffer sink capturing
-    // `snapshot_install` events.
+    // Observability on from the first cold intern: the store slow-path
+    // histogram, plus a Debug-level buffer sink for store events.
     let registry = Arc::new(Registry::new());
     let slow_hist = registry.histogram("store_slow_path_ns");
     let (sink, trace) = TraceSink::to_buffer(Level::Debug);
     assert!(shared.install_obs(StoreObs {
         slow_path_ns: Arc::clone(&slow_hist),
-        install_ns: registry.histogram("snapshot_install_ns"),
         sink: Arc::new(sink),
     }));
 
@@ -128,15 +126,8 @@ fn fully_warm_200k_request_replay_takes_zero_locks() {
         }
         w.publish();
     }
-    // The cold warm-up exercised the instrumented slow path and emitted
-    // install events through the sink.
+    // The cold warm-up exercised the instrumented slow path.
     assert!(slow_hist.snapshot().count > 0, "cold interns were recorded");
-    assert!(
-        String::from_utf8(trace.lock().unwrap().clone())
-            .unwrap()
-            .contains("\"ev\":\"snapshot_install\""),
-        "warm-up published at least one instrumented snapshot install"
-    );
 
     let mut w = shared.worker(); // attach before the baseline
     let baseline = shared.stats();
@@ -168,7 +159,7 @@ fn fully_warm_200k_request_replay_takes_zero_locks() {
         after.lock_acquisitions - baseline.lock_acquisitions
     );
     assert_eq!(after.slow_path, baseline.slow_path);
-    assert_eq!(after.generation, baseline.generation);
+    assert_eq!(after.nodes, baseline.nodes, "warm replay created no node");
     // Metrics account for every request, and the warm replay added no
     // slow-path samples and no trace events.
     assert_eq!(request_ns.snapshot().count, workload.len() as u64);
@@ -178,8 +169,8 @@ fn fully_warm_200k_request_replay_takes_zero_locks() {
 
 /// After a compaction that retains the workload's whole root set, a
 /// fresh worker replaying the stream is exactly as lock-free as before
-/// the compaction: the rebuilt snapshot carries every live node in its
-/// intern map and every memoized normal form the replay consults
+/// the compaction: the rebuilt arena carries every live node in its
+/// index and every memoized normal form the replay consults
 /// (ISSUE 9 acceptance criterion).
 #[test]
 fn fully_warm_replay_after_compaction_takes_zero_locks() {
@@ -226,7 +217,7 @@ fn fully_warm_replay_after_compaction_takes_zero_locks() {
         after.lock_acquisitions - baseline.lock_acquisitions
     );
     assert_eq!(after.slow_path, baseline.slow_path);
-    assert_eq!(after.generation, baseline.generation);
+    assert_eq!(after.nodes, baseline.nodes, "warm replay created no node");
     assert_eq!(after.epoch, 1);
 }
 
