@@ -48,12 +48,14 @@
 
 pub mod conversion;
 pub mod expr;
+mod hash;
 pub mod kind;
 pub mod kindcheck;
 pub mod normalize;
 pub mod protocol;
 pub mod session;
 pub mod shared;
+mod spine;
 pub mod store;
 pub mod subst;
 pub mod symbol;

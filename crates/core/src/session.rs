@@ -400,6 +400,9 @@ impl StoreOps for Session {
     fn settle(&mut self, ids: &mut [TypeId]) -> bool {
         self.worker.settle(ids)
     }
+    fn abandon(&mut self) {
+        self.worker.abandon()
+    }
 }
 
 #[cfg(test)]

@@ -153,25 +153,20 @@
 //! [`CompactionOutcome::bytes_after`] counts only the new arena and
 //! index.
 
+use crate::hash::SeededState;
+use crate::spine::Spine;
 use crate::store::{compute_needs, for_each_child, is_hint_worthy, map_children};
 use crate::store::{StoreOps, TNode, TypeId};
 use crate::symbol::Symbol;
 use crate::types::Type;
 use algst_obs::{Field, Histogram, Level, Span, TraceSink};
 use parking_lot::Mutex;
-use std::collections::hash_map::{Entry, RandomState};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::BuildHasher;
 use std::mem::size_of;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// log2 of the first arena segment's slot count.
-const SEG0_BITS: u32 = 10;
-
-/// Number of doubling segments: 2^10 + 2^11 + … covers the whole
-/// `u32` id space with room to spare.
-const SPINE: usize = 22;
 
 /// log2 of the first index level's bucket count.
 const LEVEL0_BITS: u32 = 10;
@@ -235,16 +230,13 @@ enum Polarity {
 const POLARITIES: [Polarity; 2] = [Polarity::Pos, Polarity::Neg];
 
 /// One epoch's id space: a lock-free append-only node arena plus its
-/// hash-consing index. Slots are written exactly once (before their
-/// index is ever handed out) and segments double in size, so a slot's
-/// address never moves and readers need no lock.
+/// hash-consing index. Slots are appended only under the writer mutex,
+/// each before its id is handed out, and never move, so readers need no
+/// lock.
 struct Arena {
     /// The compaction epoch this arena belongs to.
     epoch: u64,
-    spine: [OnceLock<Box<[OnceLock<Slot>]>>; SPINE],
-    /// Slots fully initialized. Written (release) only under the
-    /// writer mutex; read (acquire) by anyone.
-    committed: AtomicUsize,
+    slots: Spine<Slot>,
     index: Index,
     /// Private bytes reported by the workers pinned to this arena (their
     /// share of the store's `worker_bytes`).
@@ -255,36 +247,20 @@ impl Arena {
     fn new(epoch: u64) -> Arena {
         Arena {
             epoch,
-            spine: [const { OnceLock::new() }; SPINE],
-            committed: AtomicUsize::new(0),
+            slots: Spine::new(),
             index: Index::new(),
             worker_bytes: AtomicU64::new(0),
         }
     }
 
-    /// Maps a flat index to (segment, offset). Segment k holds
-    /// 2^(10+k) slots, so `i + 2^10` lands in the segment named by its
-    /// highest set bit.
-    fn locate(i: usize) -> (usize, usize) {
-        let j = i + (1 << SEG0_BITS);
-        let seg = (usize::BITS - 1 - j.leading_zeros() - SEG0_BITS) as usize;
-        let off = j - (1usize << (seg as u32 + SEG0_BITS));
-        (seg, off)
-    }
-
     fn len(&self) -> usize {
-        self.committed.load(Ordering::Acquire)
+        self.slots.len()
     }
 
     /// Reads a committed slot. Lock-free: two acquire loads (segment
     /// pointer, slot).
     fn get(&self, i: usize) -> &Slot {
-        let (seg, off) = Self::locate(i);
-        self.spine[seg]
-            .get()
-            .expect("arena segment missing for committed id")[off]
-            .get()
-            .expect("arena slot missing for committed id")
+        self.slots.get(i)
     }
 
     /// The id of `node`, if the index has it. Lock-free.
@@ -307,18 +283,7 @@ impl Arena {
         if let Some(id) = self.index.find(self, &node, tag) {
             return (id, false);
         }
-        let i = self.committed.load(Ordering::Relaxed);
-        let (seg, off) = Self::locate(i);
-        let segment = self.spine[seg].get_or_init(|| {
-            (0..(1usize << (seg as u32 + SEG0_BITS)))
-                .map(|_| OnceLock::new())
-                .collect()
-        });
-        if segment[off].set(Slot::new(node, needs)).is_err() {
-            unreachable!("arena slot {i} written twice");
-        }
-        self.committed.store(i + 1, Ordering::Release);
-        let id = TypeId::from_index(i);
+        let id = TypeId::from_index(self.slots.push(Slot::new(node, needs)));
         self.index.insert(tag, id);
         (id, true)
     }
@@ -344,7 +309,7 @@ struct Index {
     top: AtomicUsize,
     /// Entries. Writer-only (under the writer mutex).
     len: AtomicUsize,
-    hasher: RandomState,
+    hasher: SeededState,
 }
 
 impl Index {
@@ -353,7 +318,7 @@ impl Index {
             levels: [const { OnceLock::new() }; LEVELS],
             top: AtomicUsize::new(0),
             len: AtomicUsize::new(0),
-            hasher: RandomState::new(),
+            hasher: SeededState::default(),
         };
         let _ = index.levels[0].set(empty_level(LEVEL0_BITS));
         index
@@ -964,7 +929,7 @@ struct Overlay {
     /// Indexed by overlay id, in creation order.
     slots: Vec<OverlaySlot>,
     /// Hash-consing map over `slots`.
-    ids: HashMap<TNode, TypeId>,
+    ids: HashMap<TNode, TypeId, SeededState>,
 }
 
 /// A per-thread (or per-worker) handle onto a [`SharedStore`].
@@ -1350,6 +1315,14 @@ impl StoreOps for WorkerStore {
         }
     }
 
+    fn abandon(&mut self) {
+        // A stale worker's overlay also holds nodes of earlier,
+        // settled operations; they stay.
+        if !self.stale {
+            self.discard_operation();
+        }
+    }
+
     fn settle(&mut self, ids: &mut [TypeId]) -> bool {
         if !self.stale && !self.overlay.slots.is_empty() && !self.commit(ids) {
             // The store compacted past this worker's epoch. The overlay
@@ -1384,6 +1357,7 @@ mod tests {
     use super::*;
     use crate::kind::Kind;
     use crate::normalize::nrm_pos;
+    use crate::spine::SEG0_BITS;
     use crate::store::TypeStore;
 
     fn samples() -> Vec<Type> {
@@ -1413,7 +1387,7 @@ mod tests {
             let size = 1usize << (seg as u32 + SEG0_BITS);
             for off in [0, 1, size / 2, size - 1] {
                 let i = (1usize << (seg as u32 + SEG0_BITS)) - (1 << SEG0_BITS) + off;
-                assert_eq!(Arena::locate(i), (seg, off), "index {i}");
+                assert_eq!(Spine::<Slot>::locate(i), (seg, off), "index {i}");
             }
             flat += size;
         }

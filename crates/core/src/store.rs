@@ -542,6 +542,12 @@ pub trait StoreOps {
         true
     }
 
+    /// Ends a public operation that failed before it produced any ids
+    /// (a malformed type string built halfway into the store): drops
+    /// what it created where the store can. A no-op for stores whose
+    /// nodes are permanent at creation.
+    fn abandon(&mut self) {}
+
     // ------------------------------------------------- provided algorithms
 
     /// The node behind `id`, cloned.

@@ -46,7 +46,7 @@
 
 use crate::json::Value;
 use crate::protocol::{Op, Request, Response, Snapshot};
-use crate::resolve::type_from_str;
+use crate::resolve::intern_str;
 use algst_check::cache::ModuleCache;
 use algst_core::shared::{SharedStore, StoreObs};
 use algst_core::store::TypeId;
@@ -373,7 +373,6 @@ pub(crate) struct EngineMetrics {
     sojourn_ns: Arc<Histogram>,
     publish_ns: Arc<Histogram>,
     parse_ns: Arc<Histogram>,
-    intern_ns: Arc<Histogram>,
     equiv_ns: Arc<Histogram>,
     check_ns: Arc<Histogram>,
     read_parse_ns: Arc<Histogram>,
@@ -401,7 +400,6 @@ impl EngineMetrics {
             sojourn_ns: registry.histogram("queue_sojourn_ns"),
             publish_ns: registry.histogram("batch_publish_ns"),
             parse_ns: registry.histogram("stage_parse_ns"),
-            intern_ns: registry.histogram("stage_intern_ns"),
             equiv_ns: registry.histogram("stage_equiv_ns"),
             check_ns: registry.histogram("stage_check_ns"),
             read_parse_ns: registry.histogram("stage_read_parse_ns"),
@@ -429,7 +427,6 @@ struct LocalObs {
     sojourn_ns: LocalHistogram,
     publish_ns: LocalHistogram,
     parse_ns: LocalHistogram,
-    intern_ns: LocalHistogram,
     equiv_ns: LocalHistogram,
     check_ns: LocalHistogram,
 }
@@ -485,7 +482,6 @@ impl EngineObs {
         m.sojourn_ns.fold(&mut lobs.sojourn_ns);
         m.publish_ns.fold(&mut lobs.publish_ns);
         m.parse_ns.fold(&mut lobs.parse_ns);
-        m.intern_ns.fold(&mut lobs.intern_ns);
         m.equiv_ns.fold(&mut lobs.equiv_ns);
         m.check_ns.fold(&mut lobs.check_ns);
         // The histogram folds drained themselves; zero the counters.
@@ -824,8 +820,8 @@ fn worker_loop(
 /// Warm requests leave everything at zero.
 #[derive(Clone, Copy, Default)]
 struct Stages {
+    /// Cold strings to store ids (`resolve_cached`'s misses).
     parse_ns: u64,
-    intern_ns: u64,
     work_ns: u64,
 }
 
@@ -870,7 +866,6 @@ impl ReqCtx<'_> {
                         ("warm", Field::Bool(warm)),
                         ("total_us", Field::F64(total_ns as f64 / 1_000.0)),
                         ("parse_us", Field::F64(stages.parse_ns as f64 / 1_000.0)),
-                        ("intern_us", Field::F64(stages.intern_ns as f64 / 1_000.0)),
                         ("work_us", Field::F64(stages.work_ns as f64 / 1_000.0)),
                     ],
                 );
@@ -1040,17 +1035,12 @@ fn resolve_cached(
         caches.put_parse(src, id);
         return Ok(id);
     }
-    // Cold resolve: lex/parse/resolve then intern, each timed when the
+    // Cold resolve: string to store id in one pass, timed when the
     // engine is recording (first-sight strings already pay µs here).
     let span = ctx.obs.enabled().then(Span::begin);
-    let ty = type_from_str(src)?;
+    let id = intern_str(session, src)?;
     if let Some(span) = span {
         stages.parse_ns += span.record(&mut ctx.lobs.parse_ns);
-    }
-    let span = ctx.obs.enabled().then(Span::begin);
-    let id = session.intern(&ty);
-    if let Some(span) = span {
-        stages.intern_ns += span.record(&mut ctx.lobs.intern_ns);
     }
     // A session that is (or just went) stale interns private overlay
     // ids: they name this worker's overlay only, so they may warm the
@@ -1304,6 +1294,24 @@ mod tests {
         let engine = Engine::with_session(1, Session::new());
         let resp = engine.process(vec![equiv(1, "!Int.", "End!")]);
         assert!(matches!(&resp[0], Response::Error { id: 1, .. }));
+    }
+
+    #[test]
+    fn equiv_types_may_break_lines_at_column_one() {
+        let engine = Engine::with_session(1, Session::new());
+        let line = r#"{"op":"equiv","lhs":"!Int.End!\n-> End?","rhs":"Repeat\nInt"}"#;
+        let resp = engine.process(vec![
+            parse_request(line, 1),
+            equiv(2, "!Int.End!\n-> End?", "Dual (?Int.End?) -> End?"),
+        ]);
+        assert!(
+            matches!(resp[0], Response::Equiv { verdict: false, .. }),
+            "{resp:?}"
+        );
+        assert!(
+            matches!(resp[1], Response::Equiv { verdict: true, .. }),
+            "{resp:?}"
+        );
     }
 
     #[test]

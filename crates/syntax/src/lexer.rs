@@ -4,10 +4,12 @@
 //! rule: top-level declarations start at column 1). Supports `--` line
 //! comments and `{- … -}` block comments (nestable), and a few Unicode
 //! aliases for the paper's notation: `→` for `->`, `λ` for `\`, `∀` for
-//! `forall`, `▷` for `|>`, `⊗` is accepted in types as the pair separator
-//! (lexed as a comma inside parentheses is *not* attempted; `⊗` is its own
-//! token mapped to `,` by the parser — we simply reject it here to keep the
-//! token set small; examples use tuple syntax).
+//! `forall` and `▷` for `|>`. The paper's `⊗` for pair types is not
+//! accepted (it is an unexpected character); write pairs as `(T, U)`.
+//!
+//! The parser pulls tokens one at a time (`Lexer::next_token`), so a
+//! source is never held as a token vector; [`lex`] collects them for
+//! tests and tooling.
 
 use crate::span::Span;
 use crate::token::{Tok, Token};
@@ -29,7 +31,8 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
-struct Lexer<'s> {
+/// A token stream over one source string.
+pub(crate) struct Lexer<'s> {
     src: &'s str,
     chars: std::iter::Peekable<std::str::CharIndices<'s>>,
     line: u32,
@@ -42,16 +45,24 @@ struct Lexer<'s> {
 /// Returns a [`LexError`] on unterminated literals/comments or unexpected
 /// characters.
 pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
-    let mut lx = Lexer {
-        src,
-        chars: src.char_indices().peekable(),
-        line: 1,
-        col: 1,
-    };
-    lx.run()
+    let mut lx = Lexer::new(src);
+    let mut out = Vec::new();
+    while let Some(t) = lx.next_token()? {
+        out.push(t);
+    }
+    Ok(out)
 }
 
 impl<'s> Lexer<'s> {
+    pub(crate) fn new(src: &'s str) -> Lexer<'s> {
+        Lexer {
+            src,
+            chars: src.char_indices().peekable(),
+            line: 1,
+            col: 1,
+        }
+    }
+
     fn bump(&mut self) -> Option<(usize, char)> {
         let next = self.chars.next();
         if let Some((_, c)) = next {
@@ -81,40 +92,39 @@ impl<'s> Lexer<'s> {
         }
     }
 
-    fn run(&mut self) -> Result<Vec<Token>, LexError> {
-        let mut out = Vec::new();
+    /// The next token, or `None` at the end of the source.
+    pub(crate) fn next_token(&mut self) -> Result<Option<Token>, LexError> {
+        // Skip whitespace and comments.
         loop {
-            // Skip whitespace and comments.
-            loop {
-                match self.peek() {
-                    Some(c) if c.is_whitespace() => {
+            match self.peek() {
+                Some(c) if c.is_whitespace() => {
+                    self.bump();
+                }
+                Some('-') if self.src[self.peek_pos()..].starts_with("--") => {
+                    while let Some(c) = self.peek() {
+                        if c == '\n' {
+                            break;
+                        }
                         self.bump();
                     }
-                    Some('-') if self.src[self.peek_pos()..].starts_with("--") => {
-                        while let Some(c) = self.peek() {
-                            if c == '\n' {
-                                break;
-                            }
-                            self.bump();
-                        }
-                    }
-                    Some('{') if self.src[self.peek_pos()..].starts_with("{-") => {
-                        self.block_comment()?;
-                    }
-                    _ => break,
                 }
+                Some('{') if self.src[self.peek_pos()..].starts_with("{-") => {
+                    self.block_comment()?;
+                }
+                _ => break,
             }
-            let start = self.peek_pos();
-            let (line, col) = (self.line, self.col);
-            let Some(c) = self.peek() else { break };
-            let tok = self.next_tok(c)?;
-            let end = self.peek_pos();
-            out.push(Token {
-                tok,
-                span: Span::new(start, end, line, col),
-            });
         }
-        Ok(out)
+        let start = self.peek_pos();
+        let (line, col) = (self.line, self.col);
+        let Some(c) = self.peek() else {
+            return Ok(None);
+        };
+        let tok = self.next_tok(c)?;
+        let end = self.peek_pos();
+        Ok(Some(Token {
+            tok,
+            span: Span::new(start, end, line, col),
+        }))
     }
 
     fn block_comment(&mut self) -> Result<(), LexError> {

@@ -18,10 +18,16 @@
 //! **Layout rule:** a top-level declaration starts at column 1; any token
 //! at column 1 terminates the expression or type being parsed. This
 //! replaces Haskell's layout algorithm with the one convention the paper's
-//! examples already follow.
+//! examples already follow. A standalone type ([`parse_type`],
+//! [`build_type`]) has no declarations to separate, so the rule does not
+//! apply to it.
+//!
+//! The type productions are generic over a [`TypeBuilder`], so the one
+//! grammar yields [`SType`] trees for the checker and, in the server,
+//! hash-consed store ids with no tree in between.
 
 use crate::ast::*;
-use crate::lexer::{lex, LexError};
+use crate::lexer::{LexError, Lexer};
 use crate::span::Span;
 use crate::token::{Tok, Token};
 use algst_core::expr::Lit;
@@ -55,51 +61,197 @@ impl From<LexError> for ParseError {
 
 type PResult<T> = Result<T, ParseError>;
 
+/// One type production, its children already built.
+pub enum TypeNode<T> {
+    Unit,
+    /// `N T₁ … Tₙ` for an uppercase name `N` other than `Unit`; the
+    /// arguments may be empty.
+    Name(Symbol, Vec<T>),
+    /// A lowercase name: a type variable.
+    Var(Symbol),
+    Arrow(T, T),
+    Pair(T, T),
+    /// `forall (var:κ). body`, closing the last
+    /// [`TypeBuilder::enter_forall`].
+    Forall(Symbol, Kind, T),
+    /// `?payload.cont`.
+    In(T, T),
+    /// `!payload.cont`.
+    Out(T, T),
+    EndIn,
+    EndOut,
+    Dual(T),
+    /// `-payload`.
+    Neg(T),
+}
+
+/// What the type grammar builds.
+///
+/// The grammar drives the builder bottom-up: children are built before
+/// their parent, and a `forall`'s binder is announced
+/// ([`TypeBuilder::enter_forall`]) before its body is parsed. The
+/// checker builds [`SType`] trees ([`parse_type`]); the server's
+/// equivalence path builds hash-consed store ids directly, with no tree
+/// in between. Spans are what [`SType`] records; other builders may
+/// ignore them.
+pub trait TypeBuilder {
+    /// A built type.
+    type Ty;
+
+    /// `forall (var:κ).` was read; its body comes next.
+    fn enter_forall(&mut self, _var: Symbol) {}
+
+    fn build(&mut self, node: TypeNode<Self::Ty>, span: Span) -> Self::Ty;
+}
+
+/// The [`TypeBuilder`] of surface [`SType`] trees.
+struct AstBuilder;
+
+impl TypeBuilder for AstBuilder {
+    type Ty = SType;
+
+    fn build(&mut self, node: TypeNode<SType>, span: Span) -> SType {
+        match node {
+            TypeNode::Unit => SType::Unit(span),
+            TypeNode::Name(name, args) => SType::Name(name, args, span),
+            TypeNode::Var(var) => SType::Var(var, span),
+            TypeNode::Arrow(a, b) => SType::Arrow(Box::new(a), Box::new(b), span),
+            TypeNode::Pair(a, b) => SType::Pair(Box::new(a), Box::new(b), span),
+            TypeNode::Forall(var, kind, body) => SType::Forall(var, kind, Box::new(body), span),
+            TypeNode::In(p, s) => SType::In(Box::new(p), Box::new(s), span),
+            TypeNode::Out(p, s) => SType::Out(Box::new(p), Box::new(s), span),
+            TypeNode::EndIn => SType::EndIn(span),
+            TypeNode::EndOut => SType::EndOut(span),
+            TypeNode::Dual(s) => SType::Dual(Box::new(s), span),
+            TypeNode::Neg(p) => SType::Neg(Box::new(p), span),
+        }
+    }
+}
+
 /// Parses a full program (a sequence of declarations).
 pub fn parse_program(src: &str) -> PResult<Program> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let mut decls = Vec::new();
-    while p.pos < p.tokens.len() {
-        decls.push(p.decl()?);
-    }
-    Ok(Program { decls })
+    let mut p = Parser::new(src, true);
+    let result = p.program();
+    p.finish(result)
 }
 
 /// Parses a single type, e.g. for tests and tooling.
 pub fn parse_type(src: &str) -> PResult<SType> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let t = p.ty()?;
-    p.expect_eof()?;
-    Ok(t)
+    build_type(src, &mut AstBuilder)
+}
+
+/// Parses a single type with `builder`. A standalone type has no
+/// declarations to separate, so the layout rule does not apply: a line
+/// may start at column 1.
+pub fn build_type<B: TypeBuilder>(src: &str, builder: &mut B) -> PResult<B::Ty> {
+    let mut p = Parser::new(src, false);
+    let result = p.ty_built(builder).and_then(|(t, _)| {
+        p.expect_eof()?;
+        Ok(t)
+    });
+    p.finish(result)
 }
 
 /// Parses a single expression.
 pub fn parse_expr(src: &str) -> PResult<SExpr> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let e = p.expr()?;
-    p.expect_eof()?;
-    Ok(e)
+    let mut p = Parser::new(src, true);
+    let result = p.expr().and_then(|e| {
+        p.expect_eof()?;
+        Ok(e)
+    });
+    p.finish(result)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+/// A parsed type and its span. A bare uppercase name stays unbuilt
+/// until the grammar knows whether arguments follow it, also through
+/// parentheses: `(Repeat) Int` applies `Repeat` like `Repeat Int` does.
+enum Head<T> {
+    Built(T),
+    Bare(Symbol),
 }
 
-impl Parser {
-    // ---------------------------------------------------------- utilities
+type Parsed<T> = (Head<T>, Span);
 
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+/// Builds a parsed type: a bare name becomes a name without arguments.
+fn built<B: TypeBuilder>(b: &mut B, (head, span): Parsed<B::Ty>) -> (B::Ty, Span) {
+    match head {
+        Head::Built(t) => (t, span),
+        Head::Bare(name) => (b.build(TypeNode::Name(name, Vec::new()), span), span),
+    }
+}
+
+/// The parser, pulling tokens from the lexer one at a time.
+struct Parser<'s> {
+    lexer: Lexer<'s>,
+    /// The next token: `None` at the end of input, or once the lexer
+    /// has failed.
+    cur: Option<Token>,
+    /// The span of the last consumed token.
+    last: Span,
+    /// The lexer's error, once it has failed.
+    lex_error: Option<LexError>,
+    /// Whether a token at column 1 ends what is being parsed (the
+    /// layout rule of programs).
+    layout: bool,
+}
+
+impl<'s> Parser<'s> {
+    fn new(src: &'s str, layout: bool) -> Parser<'s> {
+        let mut p = Parser {
+            lexer: Lexer::new(src),
+            cur: None,
+            last: Span::default(),
+            lex_error: None,
+            layout,
+        };
+        p.advance();
+        p
     }
 
-    /// Peek, but refuse tokens at column 1 (they belong to the next
-    /// top-level declaration). Use for *optional* continuations.
+    /// Ends a parse. A lex error anywhere in the source outranks the
+    /// parse's own outcome, as if the whole source had been lexed first.
+    fn finish<T>(mut self, result: PResult<T>) -> PResult<T> {
+        if result.is_err() {
+            while self.cur.is_some() {
+                self.advance();
+            }
+        }
+        match self.lex_error {
+            Some(e) => Err(e.into()),
+            None => result,
+        }
+    }
+
+    fn program(&mut self) -> PResult<Program> {
+        let mut decls = Vec::new();
+        while self.peek().is_some() {
+            decls.push(self.decl()?);
+        }
+        Ok(Program { decls })
+    }
+
+    // ---------------------------------------------------------- utilities
+
+    /// Loads the next token into `cur`.
+    fn advance(&mut self) {
+        match self.lexer.next_token() {
+            Ok(t) => self.cur = t,
+            Err(e) => {
+                self.cur = None;
+                self.lex_error = Some(e);
+            }
+        }
+    }
+
+    fn peek(&self) -> Option<&Token> {
+        self.cur.as_ref()
+    }
+
+    /// Peek, but under the layout rule refuse tokens at column 1 (they
+    /// belong to the next top-level declaration). Use for *optional*
+    /// continuations.
     fn cont(&self) -> Option<&Token> {
-        self.peek().filter(|t| t.span.col > 1)
+        self.peek().filter(|t| !self.layout || t.span.col > 1)
     }
 
     fn cont_tok(&self) -> Option<&Tok> {
@@ -107,11 +259,7 @@ impl Parser {
     }
 
     fn last_span(&self) -> Span {
-        if self.pos == 0 {
-            Span::default()
-        } else {
-            self.tokens[self.pos - 1].span
-        }
+        self.last
     }
 
     fn here(&self) -> Span {
@@ -121,11 +269,10 @@ impl Parser {
     }
 
     fn bump(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+        let t = self.cur.take()?;
+        self.last = t.span;
+        self.advance();
+        Some(t)
     }
 
     fn error<T>(&self, message: impl Into<String>) -> PResult<T> {
@@ -231,7 +378,7 @@ impl Parser {
         let (name, start) = self.uident()?;
         let mut args = Vec::new();
         while self.starts_type_atom() {
-            args.push(self.ty_atom()?);
+            args.push(self.ty_atom_ast()?);
         }
         Ok(CtorDecl {
             name,
@@ -249,7 +396,7 @@ impl Parser {
             self.bump();
         }
         self.expect(Tok::Equals)?;
-        let body = self.ty()?;
+        let body = self.ty_ast()?;
         Ok(Decl::Alias(AliasDecl {
             name,
             params,
@@ -262,7 +409,7 @@ impl Parser {
         let (name, start) = self.lident()?;
         if self.cont_tok() == Some(&Tok::Colon) {
             self.bump();
-            let ty = self.ty()?;
+            let ty = self.ty_ast()?;
             return Ok(Decl::Signature(SignatureDecl {
                 name,
                 ty,
@@ -312,7 +459,17 @@ impl Parser {
 
     // --------------------------------------------------------------- types
 
-    fn ty(&mut self) -> PResult<SType> {
+    /// A type as an [`SType`] tree.
+    fn ty_ast(&mut self) -> PResult<SType> {
+        Ok(self.ty_built(&mut AstBuilder)?.0)
+    }
+
+    fn ty_built<B: TypeBuilder>(&mut self, b: &mut B) -> PResult<(B::Ty, Span)> {
+        let t = self.ty(b)?;
+        Ok(built(b, t))
+    }
+
+    fn ty<B: TypeBuilder>(&mut self, b: &mut B) -> PResult<Parsed<B::Ty>> {
         if self.peek().map(|t| &t.tok) == Some(&Tok::Forall) {
             let start = self.bump().expect("peeked").span;
             self.expect(Tok::LParen)?;
@@ -321,11 +478,15 @@ impl Parser {
             let kind = self.kind()?;
             self.expect(Tok::RParen)?;
             self.expect(Tok::Dot)?;
-            let body = self.ty()?;
-            let span = start.to(body.span());
-            return Ok(SType::Forall(var, kind, Box::new(body), span));
+            b.enter_forall(var);
+            let (body, body_span) = self.ty_built(b)?;
+            let span = start.to(body_span);
+            return Ok((
+                Head::Built(b.build(TypeNode::Forall(var, kind, body), span)),
+                span,
+            ));
         }
-        self.ty_arrow()
+        self.ty_arrow(b)
     }
 
     fn kind(&mut self) -> PResult<Kind> {
@@ -339,70 +500,80 @@ impl Parser {
         self.error(format!("expected a kind (S, T or P), found `{s}`"))
     }
 
-    fn ty_arrow(&mut self) -> PResult<SType> {
-        let lhs = self.ty_seq()?;
+    fn ty_arrow<B: TypeBuilder>(&mut self, b: &mut B) -> PResult<Parsed<B::Ty>> {
+        let lhs = self.ty_seq(b)?;
         if self.cont_tok() == Some(&Tok::Arrow) {
             self.bump();
-            let rhs = self.ty()?; // right-associative
-            let span = lhs.span().to(rhs.span());
-            return Ok(SType::Arrow(Box::new(lhs), Box::new(rhs), span));
+            let (lhs, lhs_span) = built(b, lhs);
+            let (rhs, rhs_span) = self.ty_built(b)?; // right-associative
+            let span = lhs_span.to(rhs_span);
+            return Ok((Head::Built(b.build(TypeNode::Arrow(lhs, rhs), span)), span));
         }
         Ok(lhs)
     }
 
-    /// Session-prefix level: `!T.S`, `?T.S`, otherwise an application type.
-    fn ty_seq(&mut self) -> PResult<SType> {
-        match self.peek().map(|t| &t.tok) {
-            Some(Tok::Bang) => {
-                let start = self.bump().expect("peeked").span;
-                let payload = self.ty_msg()?;
-                self.expect(Tok::Dot)?;
-                let cont = self.ty_seq()?;
-                let span = start.to(cont.span());
-                Ok(SType::Out(Box::new(payload), Box::new(cont), span))
-            }
-            Some(Tok::Quest) => {
-                let start = self.bump().expect("peeked").span;
-                let payload = self.ty_msg()?;
-                self.expect(Tok::Dot)?;
-                let cont = self.ty_seq()?;
-                let span = start.to(cont.span());
-                Ok(SType::In(Box::new(payload), Box::new(cont), span))
-            }
-            _ => self.ty_app(),
+    /// Session-prefix level: `!T.S`, `?T.S`, otherwise an application
+    /// type. A spine of prefixes is read in a loop, then built from its
+    /// tail outwards, so its length costs no parser stack.
+    fn ty_seq<B: TypeBuilder>(&mut self, b: &mut B) -> PResult<Parsed<B::Ty>> {
+        let mut prefixes = Vec::new();
+        loop {
+            let output = match self.peek().map(|t| &t.tok) {
+                Some(Tok::Bang) => true,
+                Some(Tok::Quest) => false,
+                _ => break,
+            };
+            let start = self.bump().expect("peeked").span;
+            let payload = self.ty_msg(b)?;
+            let (payload, _) = built(b, payload);
+            self.expect(Tok::Dot)?;
+            prefixes.push((output, payload, start));
         }
+        let mut seq = self.ty_app(b)?;
+        while let Some((output, payload, start)) = prefixes.pop() {
+            let (cont, cont_span) = built(b, seq);
+            let span = start.to(cont_span);
+            let node = if output {
+                TypeNode::Out(payload, cont)
+            } else {
+                TypeNode::In(payload, cont)
+            };
+            seq = (Head::Built(b.build(node, span)), span);
+        }
+        Ok(seq)
     }
 
     /// Message payload: an application type, optionally negated.
-    fn ty_msg(&mut self) -> PResult<SType> {
+    fn ty_msg<B: TypeBuilder>(&mut self, b: &mut B) -> PResult<Parsed<B::Ty>> {
         if self.peek().map(|t| &t.tok) == Some(&Tok::Dash) {
             let start = self.bump().expect("peeked").span;
-            let inner = self.ty_msg()?;
-            let span = start.to(inner.span());
-            return Ok(SType::Neg(Box::new(inner), span));
+            let inner = self.ty_msg(b)?;
+            let (inner, inner_span) = built(b, inner);
+            let span = start.to(inner_span);
+            return Ok((Head::Built(b.build(TypeNode::Neg(inner), span)), span));
         }
-        self.ty_app()
+        self.ty_app(b)
     }
 
-    fn ty_app(&mut self) -> PResult<SType> {
-        let head = self.ty_atom()?;
-        // Only *bare* named heads can be applied. A name that already
-        // carries arguments came out of parentheses — e.g. the payload
-        // in `!(Repeat Int).End!` — and is complete as it stands
-        // (application is not curried through parens).
-        if let SType::Name(name, args0, start) = head {
-            if !args0.is_empty() {
-                return Ok(SType::Name(name, args0, start));
-            }
-            let mut args = Vec::new();
-            while self.starts_type_atom() {
-                args.push(self.ty_atom()?);
-            }
-            let span = start.to(self.last_span());
-            Ok(SType::Name(name, args, span))
-        } else {
-            Ok(head)
+    /// Application: only a *bare* name head takes arguments. A name
+    /// that already carries arguments came out of parentheses — e.g.
+    /// the payload in `!(Repeat Int).End!` — and is complete as it
+    /// stands (application is not curried through parens).
+    fn ty_app<B: TypeBuilder>(&mut self, b: &mut B) -> PResult<Parsed<B::Ty>> {
+        let (head, start) = self.ty_atom(b)?;
+        let Head::Bare(name) = head else {
+            return Ok((head, start));
+        };
+        let mut args = Vec::new();
+        while self.starts_type_atom() {
+            let arg = self.ty_atom(b)?;
+            args.push(built(b, arg).0);
         }
+        let span = start.to(self.last_span());
+        if args.is_empty() {
+            return Ok((Head::Bare(name), span));
+        }
+        Ok((Head::Built(b.build(TypeNode::Name(name, args), span)), span))
     }
 
     fn starts_type_atom(&self) -> bool {
@@ -420,59 +591,54 @@ impl Parser {
         )
     }
 
-    fn ty_atom(&mut self) -> PResult<SType> {
-        match self.peek().map(|t| t.tok.clone()) {
+    /// A type atom as an [`SType`] tree.
+    fn ty_atom_ast(&mut self) -> PResult<SType> {
+        let atom = self.ty_atom(&mut AstBuilder)?;
+        Ok(built(&mut AstBuilder, atom).0)
+    }
+
+    fn ty_atom<B: TypeBuilder>(&mut self, b: &mut B) -> PResult<Parsed<B::Ty>> {
+        match self.peek().map(|t| &t.tok) {
             Some(Tok::LParen) => {
                 let start = self.bump().expect("peeked").span;
-                let first = self.ty()?;
-                if self.peek().map(|t| &t.tok) == Some(&Tok::Comma) {
-                    self.bump();
-                    let second = self.ty()?;
-                    let end = self.expect(Tok::RParen)?;
-                    Ok(SType::Pair(
-                        Box::new(first),
-                        Box::new(second),
-                        start.to(end),
-                    ))
-                } else {
+                let first = self.ty(b)?;
+                if self.peek().map(|t| &t.tok) != Some(&Tok::Comma) {
                     self.expect(Tok::RParen)?;
-                    Ok(first)
+                    return Ok(first);
                 }
+                self.bump();
+                let (first, _) = built(b, first);
+                let (second, _) = self.ty_built(b)?;
+                let span = start.to(self.expect(Tok::RParen)?);
+                return Ok((
+                    Head::Built(b.build(TypeNode::Pair(first, second), span)),
+                    span,
+                ));
             }
-            Some(Tok::UIdent(name)) => {
-                let span = self.bump().expect("peeked").span;
-                if name.as_str() == "Unit" {
-                    Ok(SType::Unit(span))
+            Some(Tok::DualKw | Tok::Dash) => {
+                let op = self.bump().expect("peeked");
+                let inner = self.ty_atom(b)?;
+                let (inner, inner_span) = built(b, inner);
+                let span = op.span.to(inner_span);
+                let node = if op.tok == Tok::DualKw {
+                    TypeNode::Dual(inner)
                 } else {
-                    Ok(SType::Name(name, Vec::new(), span))
-                }
+                    TypeNode::Neg(inner)
+                };
+                return Ok((Head::Built(b.build(node, span)), span));
             }
-            Some(Tok::LIdent(name)) => {
-                let span = self.bump().expect("peeked").span;
-                Ok(SType::Var(name, span))
-            }
-            Some(Tok::EndBang) => {
-                let span = self.bump().expect("peeked").span;
-                Ok(SType::EndOut(span))
-            }
-            Some(Tok::EndQuest) => {
-                let span = self.bump().expect("peeked").span;
-                Ok(SType::EndIn(span))
-            }
-            Some(Tok::DualKw) => {
-                let start = self.bump().expect("peeked").span;
-                let inner = self.ty_atom()?;
-                let span = start.to(inner.span());
-                Ok(SType::Dual(Box::new(inner), span))
-            }
-            Some(Tok::Dash) => {
-                let start = self.bump().expect("peeked").span;
-                let inner = self.ty_atom()?;
-                let span = start.to(inner.span());
-                Ok(SType::Neg(Box::new(inner), span))
-            }
-            _ => self.error("expected a type"),
+            Some(Tok::UIdent(_) | Tok::LIdent(_) | Tok::EndBang | Tok::EndQuest) => {}
+            _ => return self.error("expected a type"),
         }
+        let Token { tok, span } = self.bump().expect("peeked");
+        let node = match tok {
+            Tok::UIdent(name) if name != Symbol::UNIT => return Ok((Head::Bare(name), span)),
+            Tok::UIdent(_) => TypeNode::Unit,
+            Tok::LIdent(var) => TypeNode::Var(var),
+            Tok::EndBang => TypeNode::EndOut,
+            _ => TypeNode::EndIn,
+        };
+        Ok((Head::Built(b.build(node, span)), span))
     }
 
     // --------------------------------------------------------- expressions
@@ -716,10 +882,10 @@ impl Parser {
                 head = SExpr::App(Box::new(head), Box::new(arg), span);
             } else if self.cont_tok() == Some(&Tok::LBracket) {
                 self.bump();
-                let mut tys = vec![self.ty()?];
+                let mut tys = vec![self.ty_ast()?];
                 while self.peek().map(|t| &t.tok) == Some(&Tok::Comma) {
                     self.bump();
-                    tys.push(self.ty()?);
+                    tys.push(self.ty_ast()?);
                 }
                 let end = self.expect(Tok::RBracket)?;
                 let span = head.span().to(end);
@@ -991,6 +1157,25 @@ serveArith [s] c = match c with {
         let err = parse_program("protocol = Nil").unwrap_err();
         assert!(err.message.contains("uppercase"));
         assert_eq!(err.span.line, 1);
+    }
+
+    #[test]
+    fn lex_errors_outrank_earlier_parse_errors() {
+        // Tokens are pulled lazily, but a lex error anywhere still wins,
+        // as when the whole source was lexed before parsing.
+        for src in [") Int $", "!Int. $"] {
+            let err = parse_type(src).unwrap_err();
+            assert!(err.message.contains("unexpected character"), "{src}: {err}");
+        }
+        let err = parse_program("f = )\ng = 'x").unwrap_err();
+        assert!(err.message.contains("character literal"), "{err}");
+    }
+
+    #[test]
+    fn standalone_types_ignore_the_layout_rule() {
+        let t = parse_type("!Int.End!\n-> End?").unwrap();
+        assert!(matches!(t, SType::Arrow(..)));
+        assert!(parse_program("f : !Int.End!\n-> End?").is_err());
     }
 
     #[test]
