@@ -1,6 +1,6 @@
 //! The hash-consed store's equivalence hot path, cold vs. warm.
 //!
-//! * `cold_store` — fresh [`TypeStore`] per query: intern both sides,
+//! * `cold_store` — fresh [`Session`] per query: intern both sides,
 //!   normalize, compare. First-contact cost, linear in the type size.
 //! * `cold_tree` — the pre-store reference implementation: tree
 //!   normalization (`nrm⁺`) plus α-comparison. Kept as the baseline the
@@ -11,8 +11,8 @@
 //!   with `n`, the memoization invariant broke.
 
 use algst_core::normalize::nrm_pos;
-use algst_core::store::TypeStore;
 use algst_core::types::Type;
+use algst_core::Session;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -48,7 +48,7 @@ fn bench_equiv_interned(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("cold_store", nodes), &(&t, &u), |b, _| {
             b.iter(|| {
-                let mut s = TypeStore::new();
+                let mut s = Session::new();
                 let a = s.intern(black_box(&t));
                 let bb = s.intern(black_box(&u));
                 black_box(s.equivalent_ids(a, bb))
@@ -60,7 +60,7 @@ fn bench_equiv_interned(c: &mut Criterion) {
         });
 
         // Prime once outside the timed region, then measure steady state.
-        let mut warm_store = TypeStore::new();
+        let mut warm_store = Session::new();
         let a = warm_store.intern(&t);
         let bb = warm_store.intern(&u);
         assert!(warm_store.equivalent_ids(a, bb));

@@ -6,7 +6,6 @@
 //! `fig10` binary; this bench gives statistically robust point samples
 //! at sizes where FreeST still terminates.
 
-use algst_core::store::TypeStore;
 use algst_core::Session;
 use algst_gen::generate::{generate_instance, GenConfig};
 use algst_gen::instance::TestCase;
@@ -59,16 +58,16 @@ fn bench_fig10(c: &mut Criterion) {
             let case = case_of_size(size, is_eq, 40 + size as u64);
             let nodes = case.node_count();
 
-            // Explicitly *cold*: a fresh store per query, so this stays
+            // Explicitly *cold*: a fresh session per query, so this stays
             // a first-contact measurement now that `equivalent()`
             // memoizes through the shared store. The warm (amortized)
             // path is benchmarked in `equiv_interned`.
             group.bench_with_input(BenchmarkId::new("algst", nodes), &case, |b, case| {
                 b.iter(|| {
-                    let mut store = TypeStore::new();
-                    let a = store.intern(black_box(&case.instance.ty));
-                    let bb = store.intern(black_box(&case.other));
-                    black_box(store.equivalent_ids(a, bb))
+                    let mut session = Session::new();
+                    let a = session.intern(black_box(&case.instance.ty));
+                    let bb = session.intern(black_box(&case.other));
+                    black_box(session.equivalent_ids(a, bb))
                 })
             });
 

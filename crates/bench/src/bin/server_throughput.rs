@@ -83,7 +83,6 @@
 //! when the host actually has cores to scale onto, while the
 //! `*_vs_cold` ratios show what sharing warm state buys regardless.
 
-use algst_core::store::TypeStore;
 use algst_core::Session;
 use algst_gen::suite::{build_suite, SuiteKind};
 use algst_gen::workload::{cold_heavy_workload, equiv_workload, tenant_workloads, Workload};
@@ -499,18 +498,15 @@ fn main() {
     eprintln!("all verdicts identical to the ground truth");
 }
 
-/// One thread, fresh store per request: full cold cost per query.
+/// One thread, fresh [`Session`] per request: full cold cost per query.
 /// Returns (requests measured, req/s).
 fn cold_baseline(workload: &Workload, sample: usize) -> (usize, f64) {
     let sample = sample.max(1).min(workload.len());
     let start = Instant::now();
     for i in 0..sample {
         let (lhs, rhs, expected) = workload.request(i);
-        let mut store = TypeStore::new();
-        let a = store.intern(lhs);
-        let b = store.intern(rhs);
         assert_eq!(
-            store.equivalent_ids(a, b),
+            Session::new().equivalent(lhs, rhs),
             expected,
             "cold baseline verdict"
         );

@@ -1,7 +1,7 @@
 //! Shared measurement machinery for the Figure 10 harness and the
 //! Criterion benchmarks.
 
-use algst_core::store::{TypeId, TypeStore};
+use algst_core::store::TypeId;
 use algst_core::Session;
 use algst_gen::instance::TestCase;
 use algst_gen::to_grammar::to_grammar;
@@ -15,8 +15,8 @@ pub struct Measurement {
     /// AlgST AST nodes — the x-axis.
     pub nodes: usize,
     /// AlgST linear-time equivalence check, **cold**: a fresh
-    /// [`TypeStore`] per query, so the time covers interning,
-    /// normalization and comparison from scratch.
+    /// [`Session`] per query (the store the server uses), so the time
+    /// covers interning, normalization and comparison from scratch.
     pub algst: Duration,
     /// The same query, **warm**: repeated against a store that has
     /// already normalized both sides. This is the amortized cost a
@@ -48,14 +48,10 @@ pub fn measure_case(
     let nodes = case.node_count();
 
     // --- AlgST, cold ---------------------------------------------------
-    // A fresh store per repetition: every query pays the full linear
+    // A fresh session per repetition: every query pays the full linear
     // intern + normalize + compare, like a first-contact request.
-    let (algst, algst_verdict) = time_adaptive(|| {
-        let mut fresh = TypeStore::new();
-        let a = fresh.intern(&case.instance.ty);
-        let b = fresh.intern(&case.other);
-        fresh.equivalent_ids(a, b)
-    });
+    let (algst, algst_verdict) =
+        time_adaptive(|| Session::new().equivalent(&case.instance.ty, &case.other));
 
     // --- AlgST, warm ---------------------------------------------------
     // Prime the suite session once, then measure the steady state.

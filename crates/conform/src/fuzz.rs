@@ -69,7 +69,7 @@ impl Default for FuzzConfig {
 /// One recorded oracle disagreement.
 #[derive(Clone, Debug)]
 pub struct Failure {
-    /// `family:detail`, e.g. `equiv:store-vs-reference`.
+    /// `family:detail`, e.g. `equiv:shared-vs-reference`.
     pub oracle: String,
     pub detail: String,
     /// The replayable counterexample file, if one was written.
@@ -220,7 +220,7 @@ fn equiv_iteration(
         // still witnesses the bug exactly when all of them still return
         // that original wrong verdict ([`verdict_stable`]).
         let minimized = if b == "ground-truth" {
-            let wrong = verdicts.store;
+            let wrong = verdicts.shared;
             reduce_equiv_case(&case, 128, &mut |candidate| {
                 verdict_stable(oracles, candidate, wrong)
             })
@@ -297,30 +297,23 @@ fn equiv_iteration(
 /// reductions (and cost minutes per shrink).
 fn verdict_stable(oracles: &mut EquivOracles, case: &EquivCase, wrong: bool) -> bool {
     let v = oracles.fast_verdicts(&case.lhs, &case.rhs);
-    v.store == wrong
-        && v.shared == wrong
+    v.shared == wrong
         && v.reference == wrong
         && oracles.server_verdict(&case.lhs, &case.rhs) == wrong
 }
 
 /// Re-runs exactly the two oracles that disagreed on a reduction
-/// candidate — never the full five-way battery, since the reducer calls
+/// candidate — never the full four-way battery, since the reducer calls
 /// this thousands of times.
 fn oracle_pair_disagrees(oracles: &mut EquivOracles, case: &EquivCase, pair: &str) -> bool {
-    let store = oracles.store_verdict(&case.lhs, &case.rhs);
+    let shared = oracles.shared_verdict(&case.lhs, &case.rhs);
     match pair {
         "freest" => {
             matches!(oracles.freest_verdict(&case.decls, &case.lhs, &case.rhs),
-                     Some(f) if f != store)
+                     Some(f) if f != shared)
         }
-        "server" => oracles.server_verdict(&case.lhs, &case.rhs) != store,
-        _ => {
-            let v = oracles.fast_verdicts(&case.lhs, &case.rhs);
-            match pair {
-                "shared" => v.shared != store,
-                _ => v.reference != store,
-            }
-        }
+        "server" => oracles.server_verdict(&case.lhs, &case.rhs) != shared,
+        _ => oracles.fast_verdicts(&case.lhs, &case.rhs).reference != shared,
     }
 }
 
@@ -796,7 +789,7 @@ mod tests {
             lhs: inst.ty.clone(),
             rhs: other,
         };
-        let wrong = oracles.fast_verdicts(&case.lhs, &case.rhs).store;
+        let wrong = oracles.fast_verdicts(&case.lhs, &case.rhs).shared;
         let minimized = reduce_equiv_case(&case, 128, &mut |candidate| {
             verdict_stable(&mut oracles, candidate, wrong)
         });
@@ -829,7 +822,7 @@ mod tests {
         let equiv_failure = report
             .failures
             .iter()
-            .find(|f| f.oracle == "equiv:store-vs-reference")
+            .find(|f| f.oracle == "equiv:shared-vs-reference")
             .expect("sabotaged reference must disagree somewhere");
         let nodes = equiv_failure
             .minimized_nodes

@@ -8,7 +8,7 @@
 //!
 //! | family   | generated input            | cross-checked answers                         |
 //! |----------|----------------------------|-----------------------------------------------|
-//! | equiv    | protocol decls + type pair | `TypeStore` ids · `SharedStore`/`WorkerStore` · naive reference ([`mod@reference`]) · FreeST bisimulation · server [`Engine`](algst_server::Engine) over the wire format · by-construction ground truth |
+//! | equiv    | protocol decls + type pair | `Session` ids (a sibling of the engine's store) · naive reference ([`mod@reference`]) · FreeST bisimulation · server [`Engine`](algst_server::Engine) over the wire format · by-construction ground truth |
 //! | syntax   | types and whole modules    | print → reparse → structural AST equality      |
 //! | check    | well-typed + damaged modules | verdict stable under α-renaming, `-(-T)` payloads, `Dual (Dual ·)` |
 //! | runtime  | client/server modules      | terminates with predicted output or hits the step budget; never panics, never errors |

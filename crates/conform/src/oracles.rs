@@ -1,9 +1,8 @@
 //! The five oracle families the fuzzer cross-checks.
 //!
 //! 1. **Equivalence** ([`EquivOracles`]) — one generated pair of types,
-//!    five independent answers: the single-threaded interned
-//!    [`TypeStore`], a [`Session`] over a private shared store (the
-//!    concurrent path), the naive reference semantics
+//!    four independent answers: a [`Session`] sibling of the engine's
+//!    store (the interned, memoized path), the naive reference semantics
 //!    ([`crate::reference`]), the FreeST bisimulation baseline on the
 //!    translated pair (budgeted, with one adaptive 10× retry), and the
 //!    server [`Engine`] fed the pretty-printed pair over the wire
@@ -27,7 +26,6 @@
 
 use crate::reference::{self, Sabotage};
 use algst_core::protocol::Declarations;
-use algst_core::store::TypeStore;
 use algst_core::types::Type;
 use algst_core::Session;
 use algst_gen::to_grammar::to_grammar;
@@ -39,12 +37,12 @@ use freest::{bisimilar, BisimResult, Grammar};
 
 // ----------------------------------------------------------- equivalence
 
-/// The five equivalence backends, kept warm across a whole fuzz run so
+/// The four equivalence backends, kept warm across a whole fuzz run so
 /// the memoized paths (the ones production traffic hits) are the ones
 /// under test.
 pub struct EquivOracles {
-    store: TypeStore,
-    /// The concurrent path: a [`Session`] sibling of the engine's store.
+    /// The interned path: a [`Session`] sibling of the engine's store,
+    /// and the pivot every other verdict is compared against.
     session: Session,
     /// A session on a store unrelated to everything above, for the
     /// direct side of the server check-op family.
@@ -61,7 +59,6 @@ pub struct EquivOracles {
 /// ran out or the instance falls outside the translatable fragment.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EquivVerdicts {
-    pub store: bool,
     pub shared: bool,
     pub reference: bool,
     pub server: bool,
@@ -73,25 +70,24 @@ pub struct EquivVerdicts {
 
 impl EquivVerdicts {
     /// The first disagreeing oracle pair, as `(name_a, name_b)` with the
-    /// interned store as the pivot, or a truth mismatch against the
+    /// interned session as the pivot, or a truth mismatch against the
     /// by-construction ground `truth`.
     pub fn disagreement(&self, truth: Option<bool>) -> Option<(String, String)> {
-        let pivot = self.store;
+        let pivot = self.shared;
         for (name, verdict) in [
-            ("shared", Some(self.shared)),
             ("reference", Some(self.reference)),
             ("server", Some(self.server)),
             ("freest", self.freest),
         ] {
             if let Some(v) = verdict {
                 if v != pivot {
-                    return Some(("store".into(), name.into()));
+                    return Some(("shared".into(), name.into()));
                 }
             }
         }
         if let Some(t) = truth {
             if pivot != t {
-                return Some(("store".into(), "ground-truth".into()));
+                return Some(("shared".into(), "ground-truth".into()));
             }
         }
         None
@@ -118,7 +114,6 @@ impl EquivOracles {
         let session = Session::new();
         let engine = Engine::with_session(2, session.sibling());
         EquivOracles {
-            store: TypeStore::new(),
             session,
             direct: Session::new(),
             engine,
@@ -130,10 +125,7 @@ impl EquivOracles {
     /// Runs every backend on one pair. A FreeST budget exhaustion at the
     /// base budget is retried once at 10× ([`EquivVerdicts::freest_retried`]).
     pub fn verdicts(&mut self, decls: &Declarations, lhs: &Type, rhs: &Type) -> EquivVerdicts {
-        let (a, b) = (self.store.intern(lhs), self.store.intern(rhs));
-        let store = self.store.equivalent_ids(a, b);
-        let (a, b) = (self.session.intern(lhs), self.session.intern(rhs));
-        let shared = self.session.equivalent_ids(a, b);
+        let shared = self.shared_verdict(lhs, rhs);
         let reference = reference::equivalent_with(lhs, rhs, self.sabotage);
         let server = self.server_verdict(lhs, rhs);
         let (freest, freest_retried) =
@@ -151,7 +143,6 @@ impl EquivOracles {
                 }
             };
         EquivVerdicts {
-            store,
             shared,
             reference,
             server,
@@ -163,25 +154,20 @@ impl EquivOracles {
     /// Like [`EquivOracles::verdicts`] but only the cheap backends — the
     /// reducer re-validates thousands of candidates with this.
     pub fn fast_verdicts(&mut self, lhs: &Type, rhs: &Type) -> EquivVerdicts {
-        let (a, b) = (self.store.intern(lhs), self.store.intern(rhs));
-        let store = self.store.equivalent_ids(a, b);
-        let (a, b) = (self.session.intern(lhs), self.session.intern(rhs));
-        let shared = self.session.equivalent_ids(a, b);
+        let shared = self.shared_verdict(lhs, rhs);
         let reference = reference::equivalent_with(lhs, rhs, self.sabotage);
         EquivVerdicts {
-            store,
             shared,
             reference,
-            server: store, // not consulted by the reducer
+            server: shared, // not consulted by the reducer
             freest: None,
             freest_retried: false,
         }
     }
 
-    /// The interned-store verdict alone (the reducer's pivot).
-    pub(crate) fn store_verdict(&mut self, lhs: &Type, rhs: &Type) -> bool {
-        let (a, b) = (self.store.intern(lhs), self.store.intern(rhs));
-        self.store.equivalent_ids(a, b)
+    /// The interned session's verdict alone (the reducer's pivot).
+    pub(crate) fn shared_verdict(&mut self, lhs: &Type, rhs: &Type) -> bool {
+        self.session.equivalent(lhs, rhs)
     }
 
     pub(crate) fn server_verdict(&self, lhs: &Type, rhs: &Type) -> bool {
@@ -275,8 +261,10 @@ impl EquivOracles {
 
     /// Deep store-invariant check (arena topology, memo fixpoints,
     /// `intern∘extract` identity) — called periodically by the driver.
+    /// The oracle session is a sibling of the engine's, so this checks
+    /// the store that serves the engine's traffic.
     pub fn check_store_invariants(&mut self) -> Result<(), String> {
-        self.store.check_invariants()
+        self.session.check_invariants()
     }
 }
 

@@ -474,10 +474,9 @@ mod tests {
     #[test]
     fn sabotaged_disagreement_reduces_below_15_nodes() {
         let mut rng = StdRng::seed_from_u64(1234);
-        let mut store = algst_core::store::TypeStore::new();
+        let mut session = algst_core::Session::new();
         let mut disagrees = |case: &EquivCase| {
-            let (a, b) = (store.intern(&case.lhs), store.intern(&case.rhs));
-            let production = store.equivalent_ids(a, b);
+            let production = session.equivalent(&case.lhs, &case.rhs);
             let sabotaged =
                 reference::equivalent_with(&case.lhs, &case.rhs, Sabotage::ReferenceDual);
             production != sabotaged

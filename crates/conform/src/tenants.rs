@@ -8,13 +8,13 @@
 //! created tenants over **disjoint generated type universes**, then
 //! checks, in order,
 //!
-//! 1. every tenant's verdict matches a fresh single-threaded
-//!    [`TypeStore`] oracle on its own pair, cold on first contact and
-//!    warm on the second (the per-tenant verdict cache works);
+//! 1. every tenant's verdict matches a fresh [`Session`] oracle on its
+//!    own pair, cold on first contact and warm on the second (the
+//!    tenant's store memoized both normal forms);
 //! 2. tenant stores are pairwise distinct allocations, so a `TypeId`
 //!    minted in one tenant cannot be meaningful in another;
 //! 3. a tenant asked about a *neighbor's* pair answers correctly but
-//!    **cold** — the neighbor's verdict-cache entry did not leak;
+//!    **cold** — the neighbor's normal forms did not leak;
 //! 4. overflowing `max_tenants` LRU-evicts the coldest tenant, whose
 //!    recreation on next contact is **cold again** (no cache survives
 //!    the eviction) while its neighbors stay warm.
@@ -23,8 +23,8 @@
 //! case returns `None`.
 
 use algst_core::kind::Kind;
-use algst_core::store::TypeStore;
 use algst_core::types::Type;
+use algst_core::Session;
 use algst_gen::{equivalent_variant, generate_instance, nonequivalent_mutant, GenConfig};
 use algst_server::{Op, Request, Response, TenantConfig, TenantRegistry, TenantView};
 use rand::rngs::StdRng;
@@ -60,12 +60,11 @@ pub fn tenant_isolation_disagreement(case_seed: u64) -> Option<String> {
                     nonequivalent_mutant(&mut rng, &inst.ty).expect("generated spines are mutable");
                 equivalent_variant(&mut rng, &inst.decls, &mutant, Kind::Value, 4)
             };
-            let mut store = TypeStore::new();
-            let (a, b) = (store.intern(&inst.ty), store.intern(&rhs));
+            let expected = Session::new().equivalent(&inst.ty, &rhs);
             TenantPair {
                 lhs: inst.ty,
                 rhs,
-                expected: store.equivalent_ids(a, b),
+                expected,
             }
         })
         .collect();

@@ -18,7 +18,7 @@
 use crate::kind::Kind;
 use crate::kindcheck::KindCtx;
 use crate::protocol::Declarations;
-use crate::store::{TypeId, TypeStore};
+use crate::store::{StoreOps, TypeId};
 use crate::symbol::Symbol;
 use crate::types::Type;
 use std::sync::Arc;
@@ -51,7 +51,7 @@ pub fn one_step_rewrites(
 /// checking Theorem 1 at the id level: every variant must share the
 /// original's normal-form id.
 pub fn one_step_rewrites_interned(
-    store: &mut TypeStore,
+    store: &mut impl StoreOps,
     decls: &Declarations,
     vars: &[(Symbol, Kind)],
     ty: &Type,
@@ -255,7 +255,7 @@ mod tests {
         // Theorem 1 at the id level: every one-step rewrite lands in the
         // same normal-form id as the original.
         let decls = sample_decls();
-        let mut store = TypeStore::new();
+        let mut store = crate::Session::new();
         let t = Type::dual(Type::input(
             Type::neg(Type::proto("ConvP", vec![Type::int()])),
             Type::output(Type::int(), Type::EndOut),

@@ -311,7 +311,7 @@ impl<'d> KindCtx<'d> {
 mod tests {
     use super::*;
     use crate::protocol::{Ctor, ProtocolDecl};
-    use crate::store::TypeStore;
+    use crate::session::Session;
 
     fn decls_with_stream() -> Declarations {
         let mut d = Declarations::new();
@@ -416,7 +416,7 @@ mod tests {
     fn id_level_kind_checking_agrees_with_trees() {
         let d = decls_with_stream();
         let mut ctx = KindCtx::new(&d);
-        let mut store = TypeStore::new();
+        let mut store = Session::new();
         let samples = [
             Type::forall(
                 "s",

@@ -16,15 +16,16 @@
 //! * [`normalize`] — the normalization functions `nrm⁺`/`nrm⁻`,
 //!   materialization `§(T).S` and the directional operators `±(T)`
 //!   (Fig. 3).
-//! * [`store`] — the hash-consed type store: `Type` interned to
+//! * [`store`] — the id-level algorithms: `Type` interned to
 //!   [`store::TypeId`] with canonical (de-Bruijn) binders, memoized
-//!   normalization, and O(1) amortized equivalence.
-//! * [`shared`] — the **concurrent** lift of the store: a process-wide
-//!   lock-free arena with per-node memo cells and a lock-free
-//!   hash-consing index ([`shared::SharedStore`]), read directly by
-//!   per-thread handles that commit each cold operation's new nodes
-//!   under one lock ([`shared::WorkerStore`]), so every thread shares
-//!   warm state.
+//!   normalization, and O(1) amortized equivalence, written once
+//!   against the [`store::StoreOps`] primitives.
+//! * [`shared`] — the type store those primitives run on: a
+//!   process-wide lock-free arena with per-node memo cells and a
+//!   lock-free hash-consing index ([`shared::SharedStore`]), read
+//!   directly by per-thread handles that commit each cold operation's
+//!   new nodes under one lock ([`shared::WorkerStore`]), so every
+//!   thread shares warm state.
 //! * [`session`] — the public entry point: an explicit [`Session`]
 //!   handle owning a worker over a shared store. All of
 //!   intern/normalize/equivalence/duality run against *its* store;
@@ -65,6 +66,6 @@ pub use kind::Kind;
 pub use normalize::{nrm_neg, nrm_pos};
 pub use protocol::{Ctor, DataDecl, Declarations, ProtocolDecl};
 pub use session::Session;
-pub use store::{TNode, TypeId, TypeStore};
+pub use store::{TNode, TypeId};
 pub use symbol::Symbol;
 pub use types::Type;

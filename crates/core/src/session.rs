@@ -352,6 +352,22 @@ impl Session {
         self.worker.is_stale()
     }
 
+    /// Deep consistency check of this session's store: index/arena
+    /// bijection, topological order, `needs_binders`, fixpoint-seeded
+    /// `nrm⁺` memos in grammar `Q`, and `intern∘extract = id` (see
+    /// [`WorkerStore::check_invariants`]). For tests and fuzzing, on a
+    /// quiescent store; returns the first violation found.
+    ///
+    /// ```
+    /// use algst_core::{Session, types::Type};
+    /// let mut s = Session::new();
+    /// s.equivalent(&Type::dual(Type::EndIn), &Type::EndOut);
+    /// assert_eq!(s.check_invariants(), Ok(()));
+    /// ```
+    pub fn check_invariants(&mut self) -> Result<(), String> {
+        self.worker.check_invariants()
+    }
+
     /// Mutable access to the underlying worker, for code written against
     /// the [`WorkerStore`] API.
     pub fn worker_mut(&mut self) -> &mut WorkerStore {
@@ -366,9 +382,9 @@ impl Session {
     }
 }
 
-/// A `Session` runs the same id-level algorithms as every other store:
-/// generic helpers (`Subst::apply_interned`, suite interning) accept it
-/// anywhere a [`TypeStore`](crate::store::TypeStore) or [`WorkerStore`] is accepted.
+/// A `Session` delegates every store primitive to its [`WorkerStore`], so
+/// generic helpers (`Subst::apply_interned`, suite interning, id-level
+/// kind checking) accept it wherever they accept a `WorkerStore`.
 impl StoreOps for Session {
     fn node(&self, id: TypeId) -> &TNode {
         self.worker.node(id)
@@ -530,6 +546,50 @@ mod tests {
             let via_wrap = s.normalize(&Type::dual(t.clone()));
             assert!(s.dual(&t).alpha_eq(&via_wrap), "dual mismatch on {t}");
         }
+    }
+
+    #[test]
+    fn invariants_hold_across_siblings() {
+        let mut a = Session::new();
+        let mut b = a.sibling();
+        for (i, t) in samples().into_iter().enumerate() {
+            // Alternate which sibling interns and which normalizes.
+            let (first, second) = if i % 2 == 0 {
+                (&mut a, &mut b)
+            } else {
+                (&mut b, &mut a)
+            };
+            let id = first.intern(&t);
+            second.nrm(id);
+            second.nrm_neg(id);
+        }
+        a.check_invariants().expect("invariants seen from a");
+        b.check_invariants().expect("invariants seen from b");
+    }
+
+    #[test]
+    fn invariants_hold_after_compaction() {
+        let mut s = Session::new();
+        let ids: Vec<TypeId> = samples()
+            .iter()
+            .map(|t| {
+                let id = s.intern(t);
+                s.nrm(id);
+                id
+            })
+            .collect();
+        s.publish();
+        // Keep half the samples; the rest (and their normal forms) go.
+        let outcome = s.store().compact(&ids[..2]);
+        assert!(outcome.nodes_after < outcome.nodes_before);
+        assert!(s.repin());
+        assert!(s.epoch() > 0);
+        s.check_invariants().expect("invariants after compaction");
+        for t in samples() {
+            let id = s.intern(&t);
+            s.nrm(id);
+        }
+        s.check_invariants().expect("invariants after regrowth");
     }
 
     #[test]

@@ -1,11 +1,9 @@
-//! A **concurrent type store** with a lock-free warm path: the
-//! multi-threaded lift of [`crate::store`].
+//! The **type store**: one concurrent arena with a lock-free warm path,
+//! behind the id-level algorithms of [`crate::store`].
 //!
-//! The single-threaded [`TypeStore`](crate::store::TypeStore) makes
-//! equivalence O(1) amortized, but each thread would pay its own cold
-//! interning and normalization. This module shares that state across
-//! threads without making any warm read take a lock or an atomic
-//! read-modify-write:
+//! Memoized normal forms make equivalence O(1) amortized. This module
+//! shares the arena and its memos across threads without making any
+//! warm read take a lock or an atomic read-modify-write:
 //!
 //! * [`SharedStore`] — the process-wide source of truth. It owns
 //!   - a **lock-free append-only arena** (the id space): a spine of
@@ -95,9 +93,10 @@
 //! the commit (see [`StoreOps::equivalent_ids`]).
 //!
 //! The id-level algorithms themselves (`intern`, `nrm⁺`/`nrm⁻`,
-//! substitution, β-instantiation, extraction) are the *same code* as the
-//! single-threaded store — both implement [`StoreOps`] — so verdicts
-//! cannot drift between the two.
+//! substitution, β-instantiation, extraction) are written once in
+//! [`crate::store`] against [`StoreOps`], which [`WorkerStore`]
+//! implements; [`WorkerStore::check_invariants`] verifies the arena,
+//! index and memo cells they leave behind.
 //!
 //! ## Compaction: epochs and the remap/install protocol
 //!
@@ -934,14 +933,13 @@ struct Overlay {
 
 /// A per-thread (or per-worker) handle onto a [`SharedStore`].
 ///
-/// Implements the same id-level operations as
-/// [`TypeStore`](crate::store::TypeStore) — `intern`, `nrm`,
-/// `equivalent_ids`, substitution, extraction — with identical
-/// semantics (both run the [`StoreOps`] algorithms). Nodes, the index
-/// and memoized normal forms are read straight from the pinned epoch's
-/// lock-free arena, so warm queries take no locks. A cold operation
-/// builds its new nodes in a private overlay and commits them with one
-/// writer-mutex acquisition when it ends.
+/// Implements the id-level operations — `intern`, `nrm`,
+/// `equivalent_ids`, substitution, extraction — through the
+/// [`StoreOps`] algorithms. Nodes, the index and memoized normal forms
+/// are read straight from the pinned epoch's lock-free arena, so warm
+/// queries take no locks. A cold operation builds its new nodes in a
+/// private overlay and commits them with one writer-mutex acquisition
+/// when it ends.
 pub struct WorkerStore {
     shared: Arc<SharedStore>,
     /// The pinned epoch's arena: every public id this worker handles
@@ -1238,6 +1236,96 @@ impl WorkerStore {
     pub fn node_count(&self, id: TypeId) -> u64 {
         StoreOps::node_count(self, id)
     }
+
+    /// Deep consistency check of the pinned epoch's arena, index and
+    /// memo cells, for tests and fuzzing — **not** a hot-path function
+    /// (it walks every slot and re-extracts every binder-closed id).
+    /// Run it on a quiescent store: a sibling committing meanwhile may
+    /// show up as a violation. Verifies, in order:
+    ///
+    /// 1. the index and the arena are inverse bijections;
+    /// 2. the arena is topological (children strictly precede parents),
+    ///    so ids can never form a cycle;
+    /// 3. `needs_binders` agrees with a recomputation from the children;
+    /// 4. every `nrm⁺` memo cell is *fixpoint-seeded*: its normal form
+    ///    is recorded as its own normal form (`nrm(nrm(t)) = nrm(t)`
+    ///    holds by memo lookup alone) and lies in the normal-form
+    ///    grammar `Q` of Lemma 3;
+    /// 5. `intern ∘ extract` is the identity on every binder-closed id.
+    ///
+    /// Returns a description of the first violation found.
+    pub fn check_invariants(&mut self) -> Result<(), String> {
+        let arena = Arc::clone(&self.arena);
+        let len = arena.len();
+        let entries = arena.index.len.load(Ordering::Relaxed);
+        if entries != len {
+            return Err(format!(
+                "index holds {entries} entries for {len} arena slots"
+            ));
+        }
+        for i in 0..len {
+            let slot = arena.get(i);
+            match arena.lookup(&slot.node) {
+                Some(id) if id.index() == i => {}
+                other => {
+                    return Err(format!(
+                        "hash-consing index disagrees with arena at t{i}: {other:?}"
+                    ))
+                }
+            }
+            let mut back_edge = None;
+            for_each_child(&slot.node, |c| {
+                if c.is_overlay() || c.index() >= i {
+                    back_edge = Some(c);
+                }
+            });
+            if let Some(child) = back_edge {
+                return Err(format!("arena not topological: t{i} has child {child:?}"));
+            }
+            let needs = compute_needs(&slot.node, |c| arena.get(c.index()).needs);
+            if slot.needs != needs {
+                return Err(format!(
+                    "needs_binders stale at t{i}: recorded {}, recomputed {needs}",
+                    slot.needs,
+                ));
+            }
+        }
+        for i in 0..len {
+            let Some(n) = arena.get(i).memo(Polarity::Pos) else {
+                continue;
+            };
+            let again = arena.get(n.index()).memo(Polarity::Pos);
+            if again != Some(n) {
+                return Err(format!(
+                    "nrm memo not fixpoint-seeded: nrm(t{i}) = {n:?} but nrm({n:?}) = {again:?}"
+                ));
+            }
+            // Open subtrees (escaping de-Bruijn indices) cannot be
+            // extracted standalone; their enclosing closed root is
+            // checked instead.
+            if arena.get(n.index()).needs == 0 {
+                let tree = self.extract(n);
+                if !crate::normalize::is_normal(&tree) {
+                    return Err(format!(
+                        "memoized normal form {n:?} not in grammar Q: {tree}"
+                    ));
+                }
+            }
+        }
+        for i in 0..len {
+            if arena.get(i).needs != 0 {
+                continue;
+            }
+            let id = TypeId::from_index(i);
+            let back = self.intern(&self.extract(id));
+            if back != id {
+                return Err(format!(
+                    "intern∘extract not the identity: t{i} re-interned as {back:?}"
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl StoreOps for WorkerStore {
@@ -1358,7 +1446,6 @@ mod tests {
     use crate::kind::Kind;
     use crate::normalize::nrm_pos;
     use crate::spine::SEG0_BITS;
-    use crate::store::TypeStore;
 
     fn samples() -> Vec<Type> {
         vec![
@@ -1411,7 +1498,7 @@ mod tests {
     fn worker_nrm_agrees_with_tree_and_private_store() {
         let shared = SharedStore::new_arc();
         let mut w = shared.worker();
-        let mut private = TypeStore::new();
+        let mut private = SharedStore::new_arc().worker();
         for t in samples() {
             let wid = w.intern(&t);
             let wn = w.nrm(wid);

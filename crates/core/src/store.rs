@@ -1,25 +1,27 @@
-//! A hash-consed type store: the `TypeId` interior representation.
+//! The `TypeId` interior representation and the id-level algorithms.
 //!
 //! [`crate::types::Type`] is the *boundary* representation — what the
 //! parser produces and what error messages display. Everything on the
 //! equivalence hot path works on [`TypeId`]s instead: small indices into
-//! an append-only arena ([`TypeStore`]) in which every structurally
-//! distinct node exists **exactly once**.
+//! an append-only arena (the [`SharedStore`](crate::shared::SharedStore),
+//! driven through a [`Session`](crate::Session)) in which every
+//! structurally distinct node exists **exactly once**.
 //!
 //! Two properties make ids powerful:
 //!
-//! 1. **Hash-consing** — [`TypeStore::mk`] deduplicates nodes, so
-//!    structural equality of whole types is `TypeId` equality and common
-//!    sub-spines are stored (and later normalized) once, globally.
-//! 2. **Canonical binders** — [`TypeStore::intern`] converts bound
+//! 1. **Hash-consing** — interning deduplicates nodes, so structural
+//!    equality of whole types is `TypeId` equality and common sub-spines
+//!    are stored (and later normalized) once.
+//! 2. **Canonical binders** — [`StoreOps::intern`] converts bound
 //!    variables to de-Bruijn indices ([`TNode::Bound`]) and drops binder
 //!    names, so *α-equivalent types intern to the same id*. α-comparison,
 //!    the inner loop of the paper's equivalence algorithm (Theorem 3), is
 //!    therefore a single integer comparison.
 //!
 //! On top of the arena the store memoizes the normalization functions of
-//! Fig. 3 per id ([`TypeStore::nrm`] / [`TypeStore::nrm_neg`], a
-//! `TypeId → TypeId` table), giving the amortized equivalence check
+//! Fig. 3 per id ([`StoreOps::nrm`] / [`StoreOps::nrm_neg`], a
+//! `TypeId → TypeId` memo cell per node), giving the amortized
+//! equivalence check
 //!
 //! ```text
 //! equivalent(T, U)  =  nrm(intern(T)) == nrm(intern(U))
@@ -28,17 +30,25 @@
 //! which is O(1) once each side has been normalized once — the common
 //! case in a type-checking server answering repeated queries.
 //!
+//! This module holds the node grammar ([`TNode`]) and the algorithms
+//! (intern, `nrm⁺`/`nrm⁻`, substitution, β-instantiation, extraction),
+//! written once against the [`StoreOps`] primitives.
+//!
 //! ## Memoization invariants
 //!
-//! * The arena is append-only; a `TypeId` is never invalidated.
+//! * Within a compaction epoch the arena is append-only; a `TypeId` is
+//!   never invalidated.
 //! * `nrm` results are in the normal-form grammar `Q` of Lemma 3, and the
 //!   memo is *fixpoint-seeded*: after computing `nrm(t) = n` the store
 //!   also records `nrm(n) = n`, so `nrm` is idempotent by construction.
 //! * Both memo tables only relate ids of the same store.
 //!
-//! Conversion back to trees ([`TypeStore::extract`]) re-introduces
-//! binder names from first-intern hints where capture-free, falling back
-//! to canonical names (`a`, `b`, …, avoiding the free variables of the
+//! [`Session::check_invariants`](crate::Session::check_invariants)
+//! verifies all of these on a live store.
+//!
+//! Conversion back to trees ([`StoreOps::extract`]) re-introduces binder
+//! names from first-intern hints where capture-free, falling back to
+//! canonical names (`a`, `b`, …, avoiding the free variables of the
 //! type), so `Type → TypeId → Type` round-trips up to α-equivalence and
 //! usually verbatim for display.
 
@@ -49,7 +59,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
-/// An interned type: an index into a [`TypeStore`] arena.
+/// An interned type: an index into a store's arena.
 ///
 /// Ids are only meaningful relative to the store that produced them.
 /// Equality of ids from the same store is α-equivalence of the
@@ -133,288 +143,6 @@ pub enum TNode {
     Data(Symbol, Vec<TypeId>),
 }
 
-/// The append-only hash-consing arena plus the normalization memo tables.
-#[derive(Default)]
-pub struct TypeStore {
-    nodes: Vec<TNode>,
-    ids: HashMap<TNode, TypeId>,
-    /// Per-node: how many enclosing binders the subtree needs
-    /// (`1 + max escaping de-Bruijn index`; 0 = closed under binders).
-    /// Lets substitution skip subtrees that cannot mention the target.
-    needs_binders: Vec<u32>,
-    /// Memo: `nrm⁺` per id.
-    memo_pos: Vec<Option<TypeId>>,
-    /// Memo: `nrm⁻` per id.
-    memo_neg: Vec<Option<TypeId>>,
-    /// Display-name hints for `Forall` ids: the binder name the type was
-    /// *first* interned with. Hints never affect identity — α-equivalent
-    /// types still share an id — only how [`TypeStore::extract`] renders
-    /// binders back.
-    binder_hints: HashMap<TypeId, Symbol>,
-    /// Memo for [`TypeStore::extract_cached`]: whole-tree extraction per
-    /// id. Entries share subtrees via [`Arc`], so a hit is a cheap
-    /// top-node clone.
-    extract_memo: HashMap<TypeId, Type>,
-}
-
-impl fmt::Debug for TypeStore {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TypeStore")
-            .field("nodes", &self.nodes.len())
-            .field(
-                "normalized",
-                &self.memo_pos.iter().filter(|m| m.is_some()).count(),
-            )
-            .finish()
-    }
-}
-
-impl TypeStore {
-    pub fn new() -> TypeStore {
-        TypeStore::default()
-    }
-
-    /// Number of distinct nodes interned so far.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// The node behind `id`.
-    pub fn node(&self, id: TypeId) -> &TNode {
-        &self.nodes[id.index()]
-    }
-
-    /// Hash-conses `node`: returns the existing id when an equal node was
-    /// interned before, otherwise appends it.
-    pub fn mk(&mut self, node: TNode) -> TypeId {
-        if let Some(&id) = self.ids.get(&node) {
-            return id;
-        }
-        let needs = compute_needs(&node, |c| self.needs_binders[c.index()]);
-        let id = TypeId::from_index(self.nodes.len());
-        self.nodes.push(node.clone());
-        self.ids.insert(node, id);
-        self.needs_binders.push(needs);
-        self.memo_pos.push(None);
-        self.memo_neg.push(None);
-        id
-    }
-
-    /// True when the subtree mentions no de-Bruijn index escaping it
-    /// (every interned top-level type satisfies this).
-    pub fn is_binder_closed(&self, id: TypeId) -> bool {
-        self.needs_binders[id.index()] == 0
-    }
-
-    // ------------------------------------------------------------ interning
-
-    /// Interns a boundary [`Type`], canonicalizing binders to de-Bruijn
-    /// indices so that α-equivalent trees produce the same id.
-    pub fn intern(&mut self, t: &Type) -> TypeId {
-        StoreOps::intern(self, t)
-    }
-
-    /// Records the binder name a `Forall` id was first written with
-    /// (best-effort, display-only — identity is unaffected). Fresh
-    /// `%`-suffixed names from capture-avoiding substitution are not
-    /// worth remembering; later names never override the first. A cached
-    /// extraction of this exact id made before the hint existed is
-    /// dropped; enclosing cached trees keep their canonical names.
-    pub(crate) fn record_binder_hint(&mut self, id: TypeId, name: Symbol) {
-        if is_hint_worthy(name) && !self.binder_hints.contains_key(&id) {
-            self.binder_hints.insert(id, name);
-            self.extract_memo.remove(&id);
-        }
-    }
-
-    // ----------------------------------------------------------- extraction
-
-    /// Converts an id back to a boundary [`Type`]. Binders are named
-    /// from the hint recorded at intern time (the name the type was
-    /// first written with) when that cannot capture, falling back to
-    /// canonical names (`a`, `b`, …) that avoid the free variables of
-    /// the type. The round trip `extract ∘ intern` is the identity up to
-    /// α-equivalence (and `intern ∘ extract` is the identity on ids).
-    pub fn extract(&self, id: TypeId) -> Type {
-        StoreOps::extract(self, id)
-    }
-
-    /// [`TypeStore::extract`] with a per-id memo: repeated extraction of
-    /// the same id (e.g. every context lookup of a global's signature)
-    /// costs one map hit and a shallow clone — extracted trees share
-    /// subterms via [`Arc`].
-    pub fn extract_cached(&mut self, id: TypeId) -> Type {
-        if let Some(t) = self.extract_memo.get(&id) {
-            return t.clone();
-        }
-        let t = self.extract(id);
-        self.extract_memo.insert(id, t.clone());
-        t
-    }
-
-    // -------------------------------------------------------- normalization
-
-    /// Memoized `nrm⁺` (Fig. 3) at the id level. The first call per id
-    /// walks the sub-DAG; later calls are a table lookup. Sub-structural
-    /// sharing means a sub-spine occurring under many roots is normalized
-    /// once, globally.
-    pub fn nrm(&mut self, id: TypeId) -> TypeId {
-        StoreOps::nrm(self, id)
-    }
-
-    /// Memoized `nrm⁻` (Fig. 3): normalization under a pending `Dual`.
-    /// `nrm_neg(t) == nrm(Dual t)` for every id.
-    pub fn nrm_neg(&mut self, id: TypeId) -> TypeId {
-        StoreOps::nrm_neg(self, id)
-    }
-
-    // ---------------------------------------------------------- equivalence
-
-    /// Decides `T ≡_A U` (Theorems 1–3) as id equality of memoized normal
-    /// forms. O(|T| + |U|) on first contact per side, O(1) afterwards.
-    pub fn equivalent_ids(&mut self, a: TypeId, b: TypeId) -> bool {
-        self.nrm(a) == self.nrm(b)
-    }
-
-    /// True when `id` is already recorded as its own normal form — in
-    /// that case [`TypeStore::equivalent_ids`] on it is a pure table
-    /// lookup and comparison, with no traversal or allocation.
-    pub fn is_normalized(&self, id: TypeId) -> bool {
-        self.memo_pos[id.index()] == Some(id)
-    }
-
-    // --------------------------------------------------------- substitution
-
-    /// Simultaneous substitution of ids for *free* variables.
-    ///
-    /// Because binders are nameless, capture is impossible: free
-    /// variables of the range stay [`TNode::Free`] no matter how many
-    /// binders they are spliced under, and `Bound` indices travel with
-    /// their own subtree. No renaming, no shifting.
-    pub fn subst_free(&mut self, id: TypeId, map: &HashMap<Symbol, TypeId>) -> TypeId {
-        StoreOps::subst_free(self, id, map)
-    }
-
-    /// β-instantiation of a `∀` id: replaces the bound variable of the
-    /// outermost binder of `forall_id` with `arg` in its body. Returns
-    /// `None` when `forall_id` is not a `Forall` node.
-    ///
-    /// `arg` must be binder-closed (every interned top-level type is).
-    pub fn instantiate(&mut self, forall_id: TypeId, arg: TypeId) -> Option<TypeId> {
-        StoreOps::instantiate(self, forall_id, arg)
-    }
-
-    // -------------------------------------------------------------- queries
-
-    /// Tree-node count of the type behind `id` (the Figure-10 x-axis
-    /// measure). DAG-aware: shared subtrees are counted per occurrence
-    /// but visited once.
-    pub fn node_count(&self, id: TypeId) -> u64 {
-        StoreOps::node_count(self, id)
-    }
-
-    // ------------------------------------------- introspection (testing)
-
-    /// Memo-table counters, for tests and the `algst-conform` fuzzer.
-    pub fn introspect(&self) -> StoreIntrospection {
-        StoreIntrospection {
-            nodes: self.nodes.len(),
-            nrm_pos_entries: self.memo_pos.iter().filter(|m| m.is_some()).count(),
-            nrm_neg_entries: self.memo_neg.iter().filter(|m| m.is_some()).count(),
-            nrm_fixpoints: self
-                .memo_pos
-                .iter()
-                .enumerate()
-                .filter(|(i, m)| **m == Some(TypeId::from_index(*i)))
-                .count(),
-            extract_memo_entries: self.extract_memo.len(),
-        }
-    }
-
-    /// Deep consistency check of the arena and memo tables, for tests
-    /// and fuzzing — **not** a hot-path function (it walks every node
-    /// and re-extracts every binder-closed id). Verifies, in order:
-    ///
-    /// 1. the hash-consing map and arena are inverse bijections;
-    /// 2. the arena is topological (children strictly precede parents),
-    ///    so ids can never form a cycle;
-    /// 3. `needs_binders` agrees with a recomputation from the children;
-    /// 4. every `nrm⁺` memo entry is *fixpoint-seeded*: its result id is
-    ///    recorded as its own normal form (`nrm(nrm(t)) = nrm(t)` holds
-    ///    by table lookup alone) and lies in the normal-form grammar `Q`
-    ///    of Lemma 3;
-    /// 5. `intern ∘ extract` is the identity on every binder-closed id.
-    ///
-    /// Returns a description of the first violation found.
-    pub fn check_invariants(&mut self) -> Result<(), String> {
-        for (i, node) in self.nodes.iter().enumerate() {
-            match self.ids.get(node) {
-                Some(id) if id.index() == i => {}
-                other => {
-                    return Err(format!(
-                        "hash-consing map disagrees with arena at t{i}: {other:?}"
-                    ))
-                }
-            }
-            let mut back_edge = None;
-            for_each_child(node, |c| {
-                if c.index() >= i {
-                    back_edge = Some(c);
-                }
-            });
-            if let Some(child) = back_edge {
-                return Err(format!("arena not topological: t{i} has child {child:?}"));
-            }
-            let needs = compute_needs(node, |c| self.needs_binders[c.index()]);
-            if self.needs_binders[i] != needs {
-                return Err(format!(
-                    "needs_binders stale at t{i}: recorded {}, recomputed {needs}",
-                    self.needs_binders[i],
-                ));
-            }
-        }
-        for i in 0..self.nodes.len() {
-            if let Some(n) = self.memo_pos[i] {
-                if self.memo_pos[n.index()] != Some(n) {
-                    return Err(format!(
-                        "nrm memo not fixpoint-seeded: nrm(t{i}) = {n:?} but nrm({n:?}) = {:?}",
-                        self.memo_pos[n.index()]
-                    ));
-                }
-                // Open subtrees (escaping de-Bruijn indices) cannot be
-                // extracted standalone; their enclosing closed root is
-                // checked instead.
-                if self.is_binder_closed(n) {
-                    let tree = self.extract(n);
-                    if !crate::normalize::is_normal(&tree) {
-                        return Err(format!(
-                            "memoized normal form {n:?} not in grammar Q: {tree}"
-                        ));
-                    }
-                }
-            }
-        }
-        for i in 0..self.nodes.len() {
-            let id = TypeId::from_index(i);
-            if !self.is_binder_closed(id) {
-                continue;
-            }
-            let tree = self.extract(id);
-            let back = self.intern(&tree);
-            if back != id {
-                return Err(format!(
-                    "intern∘extract not the identity: t{i} re-interned as {back:?}"
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Calls `f` on every child id of `node`, left to right.
 pub(crate) fn for_each_child(node: &TNode, mut f: impl FnMut(TypeId)) {
     match node {
@@ -468,37 +196,17 @@ pub(crate) fn compute_needs(node: &TNode, of: impl Fn(TypeId) -> u32) -> u32 {
     }
 }
 
-/// Counters returned by [`TypeStore::introspect`].
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct StoreIntrospection {
-    /// Distinct hash-consed nodes in the arena.
-    pub nodes: usize,
-    /// `nrm⁺` memo entries.
-    pub nrm_pos_entries: usize,
-    /// `nrm⁻` memo entries.
-    pub nrm_neg_entries: usize,
-    /// `nrm⁺` entries that map an id to itself (normal forms; always
-    /// ≥ half of `nrm_pos_entries` thanks to fixpoint seeding).
-    pub nrm_fixpoints: usize,
-    /// Cached whole-tree extractions.
-    pub extract_memo_entries: usize,
-}
-
 // ------------------------------------------------------------- StoreOps
 
 /// The primitive store interface the id-level algorithms are generic
 /// over, plus the algorithms themselves as provided methods.
 ///
-/// Two implementations exist: the single-threaded [`TypeStore`] (arena,
-/// maps and memos all private to one owner) and the concurrent
-/// [`WorkerStore`](crate::shared::WorkerStore) (a per-worker handle
-/// that reads a process-wide [`SharedStore`](crate::shared::SharedStore)
-/// arena lock-free and keeps new nodes in a private overlay until the
-/// operation ends). Because `intern`, `nrm⁺`/`nrm⁻`, substitution,
-/// β-instantiation, extraction and kind checking are all written once
-/// against this trait, the two stores cannot drift semantically: they
-/// run the same code over the same [`TNode`] grammar, differing only in
-/// where nodes and memo entries live.
+/// The one implementation is [`WorkerStore`](crate::shared::WorkerStore),
+/// a per-worker handle that reads a process-wide
+/// [`SharedStore`](crate::shared::SharedStore) arena lock-free and keeps
+/// new nodes in a private overlay until the operation ends;
+/// [`Session`](crate::Session) delegates to it. Generic code (kind
+/// checking, `Subst::apply_interned`, suite interning) accepts either.
 ///
 /// Every provided method that returns ids is one **public operation**:
 /// it ends with [`StoreOps::settle`], so the ids it hands out are final.
@@ -619,8 +327,12 @@ pub trait StoreOps {
         }))
     }
 
-    /// Converts an id back to a boundary [`Type`] (see
-    /// [`TypeStore::extract`]).
+    /// Converts an id back to a boundary [`Type`]. Binders are named
+    /// from the hint recorded at intern time (the name the type was
+    /// first written with) when that cannot capture, falling back to
+    /// canonical names (`a`, `b`, …) that avoid the free variables of
+    /// the type. The round trip `extract ∘ intern` is the identity up to
+    /// α-equivalence (and `intern ∘ extract` is the identity on ids).
     fn extract(&self, id: TypeId) -> Type
     where
         Self: Sized,
@@ -653,44 +365,6 @@ fn run_settled<S: StoreOps>(s: &mut S, mut op: impl FnMut(&mut S) -> TypeId) -> 
         if s.settle(&mut ids) {
             return ids[0];
         }
-    }
-}
-
-impl StoreOps for TypeStore {
-    fn node(&self, id: TypeId) -> &TNode {
-        &self.nodes[id.index()]
-    }
-
-    fn mk_node(&mut self, node: TNode) -> TypeId {
-        self.mk(node)
-    }
-
-    fn binders_needed(&self, id: TypeId) -> u32 {
-        self.needs_binders[id.index()]
-    }
-
-    fn memo_pos_entry(&mut self, id: TypeId) -> Option<TypeId> {
-        self.memo_pos[id.index()]
-    }
-
-    fn memo_pos_record(&mut self, id: TypeId, nf: TypeId) {
-        self.memo_pos[id.index()] = Some(nf);
-    }
-
-    fn memo_neg_entry(&mut self, id: TypeId) -> Option<TypeId> {
-        self.memo_neg[id.index()]
-    }
-
-    fn memo_neg_record(&mut self, id: TypeId, nf: TypeId) {
-        self.memo_neg[id.index()] = Some(nf);
-    }
-
-    fn note_binder_hint(&mut self, id: TypeId, name: Symbol) {
-        self.record_binder_hint(id, name);
-    }
-
-    fn binder_hint(&self, id: TypeId) -> Option<Symbol> {
-        self.binder_hints.get(&id).copied()
     }
 }
 
@@ -1121,10 +795,11 @@ fn canonical_binder(next: &mut usize, binders: &[Symbol], free: &HashSet<Symbol>
 mod tests {
     use super::*;
     use crate::normalize::nrm_pos;
+    use crate::session::Session;
 
     #[test]
     fn invariants_hold_after_mixed_use() {
-        let mut s = TypeStore::new();
+        let mut s = Session::new();
         let t = Type::dual(Type::output(
             Type::neg(Type::int()),
             Type::input(Type::bool(), Type::var("s")),
@@ -1138,40 +813,44 @@ mod tests {
         s.equivalent_ids(a, b);
         let n = s.nrm_neg(a);
         s.extract_cached(n);
+        let end = s.intern(&Type::EndOut);
+        let inst = s.subst_free(a, &HashMap::from([(Symbol::intern("s"), end)]));
+        s.nrm(inst);
         s.check_invariants().expect("store invariants violated");
-        let intro = s.introspect();
-        assert!(intro.nodes > 0 && intro.nrm_pos_entries > 0);
+        let stats = s.stats();
+        assert!(stats.nodes > 0 && stats.memo_entries > 0);
+        let nf = s.nrm(a);
         assert!(
-            intro.nrm_fixpoints > 0,
+            s.is_normalized(nf),
             "fixpoint seeding must record normal forms as their own nrm"
         );
     }
 
     #[test]
     fn introspection_counts_memo_growth() {
-        let mut s = TypeStore::new();
+        let mut s = Session::new();
         let id = s.intern(&Type::output(Type::int(), Type::EndOut));
-        let before = s.introspect();
-        assert_eq!(before.nrm_pos_entries, 0);
+        let before = s.stats();
+        assert_eq!(before.memo_entries, 0);
         s.nrm(id);
-        let after = s.introspect();
-        assert!(after.nrm_pos_entries > before.nrm_pos_entries);
+        let after = s.stats();
+        assert!(after.memo_entries > before.memo_entries);
         s.check_invariants().expect("store invariants violated");
     }
 
     #[test]
     fn hash_consing_dedupes() {
-        let mut s = TypeStore::new();
+        let mut s = Session::new();
         let a = s.intern(&Type::output(Type::int(), Type::EndOut));
         let b = s.intern(&Type::output(Type::int(), Type::EndOut));
         assert_eq!(a, b);
         // Shared subterms too: exactly Int, End!, and the Out node.
-        assert_eq!(s.len(), 3);
+        assert_eq!(s.stats().nodes, 3);
     }
 
     #[test]
     fn alpha_equivalent_types_share_an_id() {
-        let mut s = TypeStore::new();
+        let mut s = Session::new();
         let t = Type::forall("x", Kind::Session, Type::var("x"));
         let u = Type::forall("y", Kind::Session, Type::var("y"));
         assert_eq!(s.intern(&t), s.intern(&u));
@@ -1182,7 +861,7 @@ mod tests {
 
     #[test]
     fn shadowing_respected() {
-        let mut s = TypeStore::new();
+        let mut s = Session::new();
         // ∀a.∀a.a  =α  ∀b.∀c.c   but  ≠α  ∀a.∀b.a
         let t = Type::forall(
             "a",
@@ -1205,7 +884,7 @@ mod tests {
 
     #[test]
     fn extract_round_trips_alpha_equivalently() {
-        let mut s = TypeStore::new();
+        let mut s = Session::new();
         let t = Type::forall(
             "s",
             Kind::Session,
@@ -1222,7 +901,7 @@ mod tests {
 
     #[test]
     fn extraction_avoids_capturing_free_vars() {
-        let mut s = TypeStore::new();
+        let mut s = Session::new();
         // ∀x. x ⊗ a  — the canonical binder must not be named `a`.
         let t = Type::forall("x", Kind::Value, Type::pair(Type::var("x"), Type::var("a")));
         let id = s.intern(&t);
@@ -1232,7 +911,7 @@ mod tests {
 
     #[test]
     fn extraction_prefers_the_written_binder_name() {
-        let mut s = TypeStore::new();
+        let mut s = Session::new();
         let t = Type::forall(
             "sess",
             Kind::Session,
@@ -1270,7 +949,7 @@ mod tests {
 
     #[test]
     fn extract_cached_returns_the_same_tree() {
-        let mut s = TypeStore::new();
+        let mut s = Session::new();
         let t = Type::forall(
             "s",
             Kind::Session,
@@ -1298,7 +977,7 @@ mod tests {
                 ),
             ),
         ];
-        let mut s = TypeStore::new();
+        let mut s = Session::new();
         for t in samples {
             let via_store = s.intern(&t);
             let via_store = s.nrm(via_store);
@@ -1309,7 +988,7 @@ mod tests {
 
     #[test]
     fn nrm_is_a_fixpoint_by_construction() {
-        let mut s = TypeStore::new();
+        let mut s = Session::new();
         let t = Type::dual(Type::input(Type::neg(Type::int()), Type::var("a")));
         let id = s.intern(&t);
         let n = s.nrm(id);
@@ -1319,7 +998,7 @@ mod tests {
 
     #[test]
     fn equivalence_is_id_equality_of_normal_forms() {
-        let mut s = TypeStore::new();
+        let mut s = Session::new();
         let t = s.intern(&Type::dual(Type::input(Type::int(), Type::EndIn)));
         let u = s.intern(&Type::output(Type::int(), Type::dual(Type::EndIn)));
         assert!(s.equivalent_ids(t, u));
@@ -1329,7 +1008,7 @@ mod tests {
 
     #[test]
     fn subst_free_is_capture_free() {
-        let mut s = TypeStore::new();
+        let mut s = Session::new();
         // (∀b. a -> b)[b/a]: nameless binders cannot capture.
         let t = Type::forall(
             "b",
@@ -1337,7 +1016,7 @@ mod tests {
             Type::arrow(Type::var("a"), Type::var("b")),
         );
         let id = s.intern(&t);
-        let b = s.mk(TNode::Free(Symbol::intern("b")));
+        let b = s.intern(&Type::var("b"));
         let map = HashMap::from([(Symbol::intern("a"), b)]);
         let r = s.subst_free(id, &map);
         let expected = Type::forall(
@@ -1350,7 +1029,7 @@ mod tests {
 
     #[test]
     fn instantiate_beta_reduces() {
-        let mut s = TypeStore::new();
+        let mut s = Session::new();
         // (∀s. !Int.s)[End!/s] = !Int.End!
         let t = Type::forall(
             "s",
@@ -1367,7 +1046,7 @@ mod tests {
 
     #[test]
     fn instantiate_under_nested_binders() {
-        let mut s = TypeStore::new();
+        let mut s = Session::new();
         // (∀a. ∀b. a ⊗ b)[Int/a] = ∀b. Int ⊗ b
         let t = Type::forall(
             "a",
@@ -1383,7 +1062,7 @@ mod tests {
 
     #[test]
     fn node_count_matches_tree_count() {
-        let mut s = TypeStore::new();
+        let mut s = Session::new();
         let t = Type::dual(Type::output(
             Type::proto("PC", vec![Type::int(), Type::neg(Type::bool())]),
             Type::EndOut,
@@ -1394,13 +1073,13 @@ mod tests {
 
     #[test]
     fn needs_binders_tracks_escaping_indices() {
-        let mut s = TypeStore::new();
+        let mut s = Session::new();
         let closed = s.intern(&Type::forall("a", Kind::Value, Type::var("a")));
-        assert!(s.is_binder_closed(closed));
+        assert_eq!(s.binders_needed(closed), 0);
         let body = match *s.node(closed) {
             TNode::Forall(_, b) => b,
             _ => unreachable!(),
         };
-        assert!(!s.is_binder_closed(body));
+        assert_eq!(s.binders_needed(body), 1);
     }
 }

@@ -3,7 +3,7 @@
 //! Two implementations coexist: the boundary-level [`Subst::apply`] on
 //! [`Type`] trees (renames binders to avoid capture), and the id-level
 //! [`Subst::apply_interned`] /
-//! [`TypeStore::subst_free`](crate::store::TypeStore::subst_free) where
+//! [`StoreOps::subst_free`] where
 //! capture is impossible by construction (binders are nameless). Both
 //! agree up to α-equivalence.
 
@@ -78,8 +78,8 @@ impl Subst {
     /// renaming (nameless binders cannot capture). Agrees with
     /// [`Subst::apply`] up to α-equivalence — i.e. produces the id that
     /// `apply`'s result would intern to. Generic over [`StoreOps`], so it
-    /// runs against both a private [`TypeStore`](crate::store::TypeStore) and a concurrent
-    /// [`WorkerStore`](crate::shared::WorkerStore).
+    /// runs against a [`WorkerStore`](crate::shared::WorkerStore) or a
+    /// [`Session`](crate::Session).
     pub fn apply_interned<S: StoreOps>(&self, store: &mut S, id: TypeId) -> TypeId {
         if self.is_empty() {
             return id;
@@ -194,8 +194,7 @@ mod tests {
 
     #[test]
     fn apply_interned_agrees_with_tree_apply() {
-        use crate::store::TypeStore;
-        let mut store = TypeStore::new();
+        let mut store = crate::Session::new();
         // Includes the capture case: tree apply renames, id apply cannot
         // capture; both land on the same α-class, hence the same id.
         let cases = vec![

@@ -7,7 +7,6 @@ use algst_core::kind::Kind;
 use algst_core::kindcheck::KindCtx;
 use algst_core::normalize::{is_normal, nrm_neg, nrm_pos, resugar};
 use algst_core::protocol::{Ctor, Declarations, ProtocolDecl};
-use algst_core::store::{TNode, TypeStore};
 use algst_core::symbol::Symbol;
 use algst_core::types::Type;
 use algst_core::Session;
@@ -227,7 +226,7 @@ proptest! {
     /// and re-interning an extraction yields the id back.
     #[test]
     fn store_interning_idempotent(t in arb_session()) {
-        let mut s = TypeStore::new();
+        let mut s = Session::new();
         let a = s.intern(&t);
         let b = s.intern(&t);
         prop_assert_eq!(a, b);
@@ -238,7 +237,7 @@ proptest! {
     /// `Type → TypeId → Type` round-trips α-equivalently.
     #[test]
     fn store_round_trip_alpha_equivalent(t in arb_session()) {
-        let mut s = TypeStore::new();
+        let mut s = Session::new();
         let id = s.intern(&t);
         let back = s.extract(id);
         prop_assert!(t.alpha_eq(&back), "{} vs {}", t, back);
@@ -250,7 +249,7 @@ proptest! {
         let quant = Type::forall("sv", Kind::Session, t.clone());
         let renamed = algst_core::subst::subst_type(&t, Symbol::intern("sv"), &Type::var("renamedSv"));
         let quant2 = Type::forall("renamedSv", Kind::Session, renamed);
-        let mut s = TypeStore::new();
+        let mut s = Session::new();
         prop_assert_eq!(s.intern(&quant), s.intern(&quant2));
     }
 
@@ -258,7 +257,7 @@ proptest! {
     /// the result is flagged as normalized (O(1) on later queries).
     #[test]
     fn store_nrm_fixpoint(t in arb_session()) {
-        let mut s = TypeStore::new();
+        let mut s = Session::new();
         let id = s.intern(&t);
         let n = s.nrm(id);
         prop_assert_eq!(s.nrm(n), n);
@@ -266,7 +265,7 @@ proptest! {
         // ...and it agrees with a *fresh* normalization of the extracted
         // normal form (the fixpoint is semantic, not just memo-seeded).
         let back = s.extract(n);
-        let mut fresh = TypeStore::new();
+        let mut fresh = Session::new();
         let reid = fresh.intern(&back);
         prop_assert_eq!(fresh.nrm(reid), reid, "extracted NF renormalized differently");
     }
@@ -274,7 +273,7 @@ proptest! {
     /// The store's normalization agrees with the tree-level `nrm⁺`.
     #[test]
     fn store_nrm_agrees_with_tree_nrm(t in arb_session()) {
-        let mut s = TypeStore::new();
+        let mut s = Session::new();
         let id = s.intern(&t);
         let via_store = s.nrm(id);
         let via_tree = s.intern(&nrm_pos(&t));
@@ -285,7 +284,7 @@ proptest! {
     /// `nrm⁻(nrm⁻(t)) == nrm⁺(t)` and `nrm(Dual (Dual t)) == nrm(t)`.
     #[test]
     fn store_dual_involution(t in arb_session()) {
-        let mut s = TypeStore::new();
+        let mut s = Session::new();
         let id = s.intern(&t);
         let once = s.nrm_neg(id);
         let twice = s.nrm_neg(once);
@@ -298,9 +297,9 @@ proptest! {
     /// `nrm⁻` at the id level is `nrm⁺ ∘ Dual`, mirroring the tree fact.
     #[test]
     fn store_nrm_neg_is_dual(t in arb_session()) {
-        let mut s = TypeStore::new();
+        let mut s = Session::new();
         let id = s.intern(&t);
-        let dual = s.mk(TNode::Dual(id));
+        let dual = s.intern(&Type::dual(t.clone()));
         let lhs = s.nrm_neg(id);
         prop_assert_eq!(lhs, s.nrm(dual));
     }
@@ -310,7 +309,7 @@ proptest! {
     #[test]
     fn store_equivalence_agrees(t in arb_session(), u in arb_session()) {
         let tree = nrm_pos(&t).alpha_eq(&nrm_pos(&u));
-        let mut s = TypeStore::new();
+        let mut s = Session::new();
         let a = s.intern(&t);
         let b = s.intern(&u);
         prop_assert_eq!(s.equivalent_ids(a, b), tree);

@@ -54,8 +54,8 @@ impl TestCase {
     }
 
     /// Interns both sides of the pair into `store` — any [`StoreOps`]
-    /// implementor: a private `TypeStore`, a `WorkerStore`, or a
-    /// [`Session`](algst_core::Session) — returning `(ty, other)` ids.
+    /// implementor: a [`Session`](algst_core::Session) or the
+    /// `WorkerStore` it wraps — returning `(ty, other)` ids.
     /// Suites built by [`crate::suite::build_suite`] carry these ids
     /// already ([`crate::suite::Suite::ids`]); use this for ad-hoc cases.
     pub fn intern_into<S: StoreOps>(&self, store: &mut S) -> (TypeId, TypeId) {

@@ -15,26 +15,21 @@
 //! Nothing in the engine reaches a process-global store, so two engines
 //! in one process are fully isolated (see `tests/isolation.rs`).
 //!
-//! Above the store sit the request-level caches. Like the type store
-//! itself, they are **two-tier** so the warm path is lock-free:
+//! **Verdicts are not cached.** The store memoizes every normal form it
+//! computes, so once both sides of a pair have been normalized — by
+//! any worker, in any pair — the verdict is two memo reads and an id
+//! comparison (the paper's Theorem 3), and the response says
+//! `"warm":true`. Only the steps in front of the store are cached:
 //!
-//! * each worker keeps **private** verdict and parse maps
-//!   (`WorkerCaches`) answering repeated pairs/strings with zero
-//!   shared-memory traffic — sound because a verdict for a pair of ids
-//!   and the id for a source string never change;
-//! * behind them sit the **shared, sharded** fallback maps, consulted
-//!   (and filled) only on a worker's first miss, so one worker's cold
-//!   computation still warms every other worker's fallback. Every
-//!   shard-lock acquisition is counted in `cache_locks`.
-//!
-//! The caches:
-//!
-//! * the **per-pair verdict cache** (`equiv` memo): a canonically
-//!   ordered `(TypeId, TypeId) → bool` map. A repeated pair — the
-//!   dominant case under real traffic — skips even the `nrm` memo
-//!   lookups, and its response says `"warm":true`.
 //! * the **parse cache**: source string → interned [`TypeId`], skipping
-//!   lex/parse/resolve for repeated type strings.
+//!   lex/parse/resolve for repeated type strings. It is two-tier so the
+//!   warm path is lock-free: each worker keeps a **private** map
+//!   (`WorkerCaches`) answering repeated strings with zero
+//!   shared-memory traffic, and behind it sits a **shared, sharded**
+//!   fallback, consulted (and filled) only on a worker's first miss, so
+//!   one worker's cold parse still warms every other worker. Every
+//!   shard-lock acquisition is counted in `cache_locks`. The shared
+//!   tier also names the ids a compaction keeps.
 //! * the **module cache** (`check` op): source → checked
 //!   [`Module`](algst_check::Module), see [`algst_check::cache`].
 //!
@@ -49,7 +44,7 @@ use crate::protocol::{Op, Request, Response, Snapshot};
 use crate::resolve::intern_str;
 use algst_check::cache::ModuleCache;
 use algst_core::shared::{SharedStore, StoreObs};
-use algst_core::store::TypeId;
+use algst_core::store::{StoreOps, TypeId};
 use algst_core::Session;
 use algst_obs::{
     Counter, Field, Gauge, Histogram, Level, LocalHistogram, Registry, Span, TraceSink,
@@ -62,18 +57,18 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Lock shards for the shared fallback caches. Worker-local caches
-/// absorb the warm path; the shards only see each worker's first miss
-/// on a key, so a small fixed count is plenty.
+/// Lock shards for the shared parse cache. Worker-local caches absorb
+/// the warm path; the shards only see each worker's first miss on a
+/// key, so a small fixed count is plenty.
 const SHARDS: usize = 16;
 
-/// Entry cap per shared fallback shard (verdicts and parses alike). A
-/// full shard is cleared: entries are pure memos, so eviction costs at
-/// most one recomputation per key, and clearing keeps the policy O(1)
-/// with no recency bookkeeping on the warm path.
+/// Entry cap per shared parse-cache shard. A full shard is cleared:
+/// entries are pure memos, so eviction costs at most one re-parse per
+/// key, and clearing keeps the policy O(1) with no recency bookkeeping
+/// on the warm path.
 const SHARD_CAP: usize = 65_536;
 
-/// Entry cap for each worker-private cache map, same clear-on-full
+/// Entry cap for each worker-private parse map, same clear-on-full
 /// policy as the shared shards.
 const WORKER_CACHE_CAP: usize = 65_536;
 
@@ -108,36 +103,26 @@ impl std::fmt::Debug for Batch {
     }
 }
 
-/// One epoch-tagged shard of a shared fallback cache. `TypeId`s are
+/// One epoch-tagged shard of the shared parse cache. `TypeId`s are
 /// only meaningful within a store epoch, so every shard carries the
 /// epoch its entries belong to: a reader on a different epoch misses,
 /// a writer on a *newer* epoch clears-and-retags, and a write from an
 /// *older* epoch (a worker that has not repinned yet) is dropped.
-struct EpochShard<K, V> {
+#[derive(Default)]
+struct EpochShard {
     epoch: u64,
-    map: HashMap<K, V>,
+    map: HashMap<String, TypeId>,
 }
 
-impl<K: Eq + std::hash::Hash, V: Copy> EpochShard<K, V> {
-    fn new() -> EpochShard<K, V> {
-        EpochShard {
-            epoch: 0,
-            map: HashMap::new(),
-        }
-    }
-
-    fn get<Q>(&self, epoch: u64, key: &Q) -> Option<V>
-    where
-        K: std::borrow::Borrow<Q>,
-        Q: Eq + std::hash::Hash + ?Sized,
-    {
+impl EpochShard {
+    fn get(&self, epoch: u64, src: &str) -> Option<TypeId> {
         if self.epoch != epoch {
             return None;
         }
-        self.map.get(key).copied()
+        self.map.get(src).copied()
     }
 
-    fn put(&mut self, epoch: u64, key: K, value: V) {
+    fn put(&mut self, epoch: u64, src: &str, id: TypeId) {
         use std::cmp::Ordering as Cmp;
         match self.epoch.cmp(&epoch) {
             Cmp::Greater => return, // stale writer: drop
@@ -150,23 +135,21 @@ impl<K: Eq + std::hash::Hash, V: Copy> EpochShard<K, V> {
         if self.map.len() >= SHARD_CAP {
             self.map.clear();
         }
-        self.map.insert(key, value);
+        self.map.insert(src.to_owned(), id);
     }
 }
 
 /// Request-level shared state (everything above the type store).
 struct EngineState {
-    /// Shared fallback verdict cache, keyed by canonically ordered ids.
-    verdicts: Vec<RwLock<EpochShard<(TypeId, TypeId), bool>>>,
     /// Shared fallback parse cache (successes only; errors are rare and
     /// cheap to reproduce).
-    parses: Vec<RwLock<EpochShard<String, TypeId>>>,
+    parses: Vec<RwLock<EpochShard>>,
     modules: ModuleCache,
     workers: usize,
     requests: AtomicU64,
     equiv_hits: AtomicU64,
     equiv_misses: AtomicU64,
-    /// Shard-lock acquisitions on the fallback caches. Flat across a
+    /// Shard-lock acquisitions on the shared parse cache. Flat across a
     /// warm replay (worker-local caches answer everything).
     cache_locks: AtomicU64,
     /// Compaction policy: compact when the store's estimated live bytes
@@ -181,25 +164,16 @@ struct EngineState {
     compacting: parking_lot::Mutex<()>,
 }
 
-/// Per-worker private caches over [`EngineState`]'s shared fallbacks.
-/// Both maps memo facts that are fixed *within a store epoch* (a
-/// verdict for a pair of interned ids; the id a source string parses
-/// to). The worker drops the whole struct when its session repins to a
-/// new epoch, and each map clears at [`WORKER_CACHE_CAP`].
+/// A worker's private parse cache over [`EngineState`]'s shared
+/// fallback. The id a source string parses to is fixed *within a store
+/// epoch*, so the worker drops the whole struct when its session repins
+/// to a new epoch, and the map clears at [`WORKER_CACHE_CAP`].
 #[derive(Default)]
 struct WorkerCaches {
-    verdicts: HashMap<(TypeId, TypeId), bool>,
     parses: HashMap<String, TypeId>,
 }
 
 impl WorkerCaches {
-    fn put_verdict(&mut self, key: (TypeId, TypeId), v: bool) {
-        if self.verdicts.len() >= WORKER_CACHE_CAP {
-            self.verdicts.clear();
-        }
-        self.verdicts.insert(key, v);
-    }
-
     fn put_parse(&mut self, src: &str, id: TypeId) {
         if self.parses.len() >= WORKER_CACHE_CAP {
             self.parses.clear();
@@ -220,12 +194,7 @@ struct Tally {
 impl EngineState {
     fn new(workers: usize) -> EngineState {
         EngineState {
-            verdicts: (0..SHARDS)
-                .map(|_| RwLock::new(EpochShard::new()))
-                .collect(),
-            parses: (0..SHARDS)
-                .map(|_| RwLock::new(EpochShard::new()))
-                .collect(),
+            parses: (0..SHARDS).map(|_| RwLock::default()).collect(),
             modules: ModuleCache::new(),
             workers,
             requests: AtomicU64::new(0),
@@ -255,14 +224,12 @@ impl EngineState {
 
     /// Snapshot of the request-level state, `store` merged in.
     fn snapshot(&self, store: &SharedStore) -> Snapshot {
-        let (equiv_entries, parse_entries) = self.entries();
         let mut snap = Snapshot {
             requests: self.requests.load(Ordering::Relaxed),
             workers: self.workers,
-            equiv_entries,
             equiv_hits: self.equiv_hits.load(Ordering::Relaxed),
             equiv_misses: self.equiv_misses.load(Ordering::Relaxed),
-            parse_entries,
+            parse_entries: self.parse_entries(),
             cache_locks: self.cache_locks.load(Ordering::Relaxed),
             ..Snapshot::default()
         };
@@ -271,24 +238,8 @@ impl EngineState {
         snap
     }
 
-    fn pair_shard(key: (TypeId, TypeId)) -> usize {
-        (key.0.index() ^ key.1.index().rotate_left(16)) % SHARDS
-    }
-
     fn count_cache_lock(&self) {
         self.cache_locks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn verdict_get(&self, epoch: u64, key: (TypeId, TypeId)) -> Option<bool> {
-        self.count_cache_lock();
-        self.verdicts[Self::pair_shard(key)].read().get(epoch, &key)
-    }
-
-    fn verdict_put(&self, epoch: u64, key: (TypeId, TypeId), verdict: bool) {
-        self.count_cache_lock();
-        self.verdicts[Self::pair_shard(key)]
-            .write()
-            .put(epoch, key, verdict);
     }
 
     fn str_shard(s: &str) -> usize {
@@ -307,17 +258,11 @@ impl EngineState {
         self.count_cache_lock();
         self.parses[Self::str_shard(src)]
             .write()
-            .put(epoch, src.to_owned(), id);
+            .put(epoch, src, id);
     }
 
-    fn entries(&self) -> (u64, u64) {
-        let verdicts = self
-            .verdicts
-            .iter()
-            .map(|s| s.read().map.len() as u64)
-            .sum();
-        let parses = self.parses.iter().map(|s| s.read().map.len() as u64).sum();
-        (verdicts, parses)
+    fn parse_entries(&self) -> u64 {
+        self.parses.iter().map(|s| s.read().map.len() as u64).sum()
     }
 }
 
@@ -568,35 +513,21 @@ fn queue_capacity(workers: usize) -> usize {
 }
 
 impl Engine {
-    /// A pool of `workers` threads over the **process-global** session
-    /// store ([`Session::global`]), so a long-running server shares warm
-    /// state with in-process checking that also opted into it.
-    pub fn new(workers: usize) -> Engine {
-        Engine::with_session(workers, Session::global())
-    }
-
     /// A pool over a caller-provided [`Session`]: each worker thread
     /// runs a sibling of it, and **both** `equiv` and `check` requests
     /// resolve, intern, elaborate and normalize against that store and
     /// no other. Injecting [`Session::new`] gives a fully isolated
     /// engine (benchmarks use this to measure cold starts reproducibly;
-    /// multi-tenant embedders use it for per-tenant isolation).
+    /// multi-tenant embedders use it for per-tenant isolation);
+    /// [`Session::global`] shares warm state with in-process checking
+    /// that also opted into the process-global store.
     pub fn with_session(workers: usize, session: Session) -> Engine {
-        Engine::with_store(workers, Arc::clone(session.store()))
-    }
-
-    /// [`Engine::with_session`] from the raw shared store handle.
-    pub fn with_store(workers: usize, shared: Arc<SharedStore>) -> Engine {
-        Engine::with_store_obs(workers, shared, ObsOptions::default())
+        Engine::with_obs(workers, session, ObsOptions::default())
     }
 
     /// [`Engine::with_session`] with explicit observability wiring.
-    pub fn with_obs(workers: usize, session: Session, obs: ObsOptions) -> Engine {
-        Engine::with_store_obs(workers, Arc::clone(session.store()), obs)
-    }
-
-    /// [`Engine::with_store`] with explicit observability wiring.
-    pub fn with_store_obs(workers: usize, shared: Arc<SharedStore>, opts: ObsOptions) -> Engine {
+    pub fn with_obs(workers: usize, session: Session, opts: ObsOptions) -> Engine {
+        let shared = Arc::clone(session.store());
         let workers = workers.max(1);
         let obs = Arc::new(EngineObs::new(opts));
         if obs.enabled() {
@@ -909,34 +840,25 @@ fn handle(
                     };
                 }
             };
-            // Equivalence is symmetric: canonical key order doubles the
-            // cache's effective coverage.
-            let key = if a <= b { (a, b) } else { (b, a) };
-            let (verdict, warm) = if let Some(&v) = caches.verdicts.get(&key) {
-                tally.equiv_hits += 1;
-                (v, true)
-            } else if let Some(v) = state.verdict_get(session.epoch(), key) {
-                caches.put_verdict(key, v);
-                tally.equiv_hits += 1;
-                (v, true)
-            } else {
-                // Cold equivalence runs at µs scale: an extra timer pair
-                // is noise here and gold for attribution.
-                let span = ctx.obs.enabled().then(Span::begin);
-                let v = session.equivalent_ids(key.0, key.1);
-                if let Some(span) = span {
-                    stages.work_ns = span.record(&mut ctx.lobs.equiv_ns);
+            // Warm when the store already holds both normal forms, from
+            // whichever worker and pair computed them: the verdict is
+            // then two memo reads and an id comparison.
+            let (verdict, warm) = match (session.memo_pos_entry(a), session.memo_pos_entry(b)) {
+                (Some(x), Some(y)) => {
+                    tally.equiv_hits += 1;
+                    (x == y, true)
                 }
-                // Stale sessions hold (possibly) private overlay ids in
-                // `key`: correct for this worker, meaningless to any
-                // sibling. Keep the verdict private (see
-                // `resolve_cached`).
-                if !session.is_stale() {
-                    state.verdict_put(session.epoch(), key, v);
+                _ => {
+                    // Cold equivalence runs at µs scale: an extra timer
+                    // pair is noise here and gold for attribution.
+                    let span = ctx.obs.enabled().then(Span::begin);
+                    let v = session.equivalent_ids(a, b);
+                    if let Some(span) = span {
+                        stages.work_ns = span.record(&mut ctx.lobs.equiv_ns);
+                    }
+                    tally.equiv_misses += 1;
+                    (v, false)
                 }
-                caches.put_verdict(key, v);
-                tally.equiv_misses += 1;
-                (v, false)
             };
             let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             ctx.finish(id, "equiv", warm, ns, stages);
@@ -1062,17 +984,16 @@ fn resolve_cached(
 /// loads and nothing else. When a trigger fires, one worker `try_lock`s
 /// the compaction mutex (losers go straight back to serving) and:
 ///
-/// 1. gathers **roots** from the shared fallback caches — every
-///    parse-cache value and both ids of every verdict key — under the
-///    shard locks (counted, like all shard acquisitions);
+/// 1. gathers **roots** from the shared parse cache — every id a cached
+///    string parses to — under the shard locks (counted, like all shard
+///    acquisitions);
 /// 2. runs [`SharedStore::compact`], which keeps the roots, their
 ///    children and their memoized normal forms transitively live, so a
 ///    warm replay after compaction still answers lock-free;
 /// 3. rebuilds the shards in place with remapped ids under the new
-///    epoch tag. The remap is monotone in the old index, so canonically
-///    ordered verdict keys stay canonical; entries interned after root
-///    gathering are absent from the remap and dropped (cache loss, not
-///    an error — they recompute on next sight);
+///    epoch tag; entries interned after root gathering are absent from
+///    the remap and dropped (cache loss, not an error — they re-parse
+///    on next sight);
 /// 4. clears the module cache so subsequent `check`s re-elaborate and
 ///    re-warm the new epoch's memo tables.
 ///
@@ -1080,7 +1001,7 @@ fn resolve_cached(
 /// trigger is hygiene: it keeps the cache roots, reclaiming only nodes
 /// nothing refers to anymore (evicted cache entries, `check`
 /// elaboration garbage, memo values of dead ids). The **byte bound**
-/// is a hard bound: the caches themselves are what keep churned types
+/// is a hard bound: the parse cache itself is what keeps churned types
 /// live, so when the store outgrows the bound the engine *sheds* the
 /// request-level caches and compacts with zero roots — the store drops
 /// to its floor and warm state rebuilds from traffic. Growth under
@@ -1118,13 +1039,6 @@ fn maybe_compact(shared: &SharedStore, state: &EngineState, obs: &EngineObs) {
             state.count_cache_lock();
             roots.extend(shard.read().map.values().copied());
         }
-        for shard in &state.verdicts {
-            state.count_cache_lock();
-            for &(a, b) in shard.read().map.keys() {
-                roots.push(a);
-                roots.push(b);
-            }
-        }
     }
     let outcome = shared.compact(&roots);
     for shard in &state.parses {
@@ -1135,24 +1049,6 @@ fn maybe_compact(shared: &SharedStore, state: &EngineState, obs: &EngineObs) {
                 .map
                 .drain()
                 .filter_map(|(k, v)| outcome.remap.get(&v).map(|&v| (k, v)))
-                .collect();
-            shard.map.extend(remapped);
-            shard.epoch = outcome.epoch;
-        }
-    }
-    for shard in &state.verdicts {
-        state.count_cache_lock();
-        let mut shard = shard.write();
-        if shard.epoch < outcome.epoch {
-            let remapped: Vec<((TypeId, TypeId), bool)> = shard
-                .map
-                .drain()
-                .filter_map(
-                    |((a, b), v)| match (outcome.remap.get(&a), outcome.remap.get(&b)) {
-                        (Some(&a), Some(&b)) => Some(((a, b), v)),
-                        _ => None,
-                    },
-                )
                 .collect();
             shard.map.extend(remapped);
             shard.epoch = outcome.epoch;
@@ -1224,11 +1120,9 @@ fn metrics_fields(
     ] {
         fields.push((name.to_string(), Value::Int(value as i64)));
     }
-    let (equiv_entries, parse_entries) = state.entries();
     let modules = state.modules.stats();
     for (name, value) in [
-        ("cache_equiv_entries", equiv_entries),
-        ("cache_parse_entries", parse_entries),
+        ("cache_parse_entries", state.parse_entries()),
         ("cache_module_entries", modules.entries),
         ("cache_module_hits", modules.hits),
         ("cache_module_evictions", modules.evictions),
@@ -1265,7 +1159,7 @@ mod tests {
             equiv(1, "!Int.End!", "Dual (?Int.End?)"),
             equiv(2, "!Int.End!", "!Bool.End!"),
             equiv(3, "!Int.End!", "Dual (?Int.End?)"),
-            // Symmetric repeat also hits the pair cache.
+            // Symmetric repeat: both normal forms are memoized.
             equiv(4, "Dual (?Int.End?)", "!Int.End!"),
         ];
         let resp = engine.process(reqs);
@@ -1287,6 +1181,40 @@ mod tests {
                 (4, true, true)
             ]
         );
+    }
+
+    /// A pair never asked before is warm when the store already holds
+    /// both normal forms from other pairs: no pair cache is needed.
+    #[test]
+    fn warm_from_memoized_normal_forms_without_a_pair_cache() {
+        let (a, b, c, d) = (
+            "!Int.End!",
+            "Dual (?Int.End?)",
+            "?Bool.End?",
+            "Dual (!Bool.End!)",
+        );
+        let view = |resp: &[Response]| -> Vec<(bool, bool)> {
+            resp.iter()
+                .map(|r| match r {
+                    Response::Equiv { verdict, warm, .. } => (*verdict, *warm),
+                    other => panic!("unexpected response {other:?}"),
+                })
+                .collect()
+        };
+        let engine = Engine::with_session(1, Session::new());
+        let primed = engine.process(vec![equiv(1, a, b), equiv(2, c, d)]);
+        assert_eq!(view(&primed), vec![(true, false), (true, false)]);
+        let before = engine.snapshot();
+        let resp = engine.process(vec![equiv(3, a, d)]);
+        assert_eq!(view(&resp), vec![(false, true)], "(a, d) is warm");
+        let after = engine.snapshot();
+        assert_eq!(after.store_locks, before.store_locks);
+        assert_eq!(after.equiv_hits, before.equiv_hits + 1);
+        assert_eq!(after.equiv_misses, before.equiv_misses);
+        // Warmth is the store's, not the pair's: a fresh engine is cold.
+        let fresh = Engine::with_session(1, Session::new());
+        let resp = fresh.process(vec![equiv(1, a, d)]);
+        assert_eq!(view(&resp), vec![(false, false)]);
     }
 
     #[test]
@@ -1348,7 +1276,6 @@ mod tests {
             panic!("expected stats");
         };
         assert!(snapshot.nodes > 0);
-        assert_eq!(snapshot.equiv_entries, 1);
         assert_eq!(snapshot.equiv_hits, 1);
         assert_eq!(snapshot.equiv_misses, 1);
         assert!(snapshot.requests >= 2);
@@ -1450,7 +1377,7 @@ mod tests {
             "store_slow_path_ns_count",
             "store_nodes",
             "store_lock_acquisitions",
-            "cache_equiv_entries",
+            "cache_parse_entries",
         ] {
             assert!(keys.contains(&required), "metrics missing {required}");
         }

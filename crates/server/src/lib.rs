@@ -1,8 +1,7 @@
 //! # algst-server
 //!
 //! A long-running **batch equivalence-checking service** over the
-//! sharded concurrent type store
-//! ([`algst_core::shared::SharedStore`]).
+//! concurrent type store ([`algst_core::shared::SharedStore`]).
 //!
 //! The paper's headline result is that algebraic-protocol equivalence
 //! is practical at scale — this crate is the serving layer that result
@@ -15,8 +14,8 @@
 //! stdin/TCP ──lines──► reader ──batches──► worker pool ──► writer ──► stdout/TCP
 //!                                   │ WorkerStore handles (1 lock per cold op)
 //!                                   ▼
-//!                       SharedStore (arena + nrm memos)
-//!                       + per-pair verdict cache ("equiv memo")
+//!                       SharedStore (arena + nrm memos: a warm verdict
+//!                       is two memo reads and an id compare)
 //!                       + parse cache + module cache
 //! ```
 //!

@@ -221,7 +221,7 @@ fn warm_200k_replay_through_the_tenant_router_takes_zero_locks() {
     // tenancy. Three tenants over disjoint universes; after one full
     // pass has warmed every pair, replaying 200K+ requests through the
     // registry's resolve→admit→engine path must not acquire a single
-    // registry lock, store lock, or verdict-cache lock.
+    // registry lock, store lock, or parse-cache lock.
     const TENANTS: usize = 3;
     const PER_TENANT: usize = 70_000; // 3 × 70K = 210K ≥ 200K replayed
     let workloads = tenant_workloads(TENANTS, 8, PER_TENANT, 23);
