@@ -803,7 +803,8 @@ fn drive_client(
     }
 }
 
-/// Runs all client streams against a fresh engine behind either the
+/// Runs all client streams against a fresh registry (one `default`
+/// tenant engine) behind either the
 /// concurrent listener or a sequential accept-one-at-a-time baseline.
 /// Wall-clock covers first connect to last response across all clients.
 fn run_wire(
@@ -812,7 +813,10 @@ fn run_wire(
     pipeline: usize,
     workers: usize,
 ) -> WireRun {
-    let engine = Engine::with_session(workers, Session::new());
+    let tenants = TenantRegistry::new(TenantConfig {
+        workers,
+        ..TenantConfig::default()
+    });
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("local addr");
     let clients = streams.len();
@@ -820,7 +824,7 @@ fn run_wire(
     let (per_client, elapsed) = std::thread::scope(|scope| {
         let server = if concurrent {
             scope.spawn(|| {
-                serve_listener(&engine, &listener, ServeConfig::default())
+                serve_listener(&tenants, &listener, ServeConfig::default())
                     .expect("concurrent server");
             })
         } else {
@@ -831,7 +835,7 @@ fn run_wire(
                 for _ in 0..clients {
                     let (stream, _) = listener.accept().expect("accept");
                     let input = stream.try_clone().expect("clone server socket");
-                    serve_session(&engine, input, stream, ServeConfig::default())
+                    serve_session(&tenants, input, stream, ServeConfig::default())
                         .expect("sequential server");
                 }
             })

@@ -93,8 +93,8 @@ impl Session {
     /// A session over the **process-global** store. Ids and warm state
     /// are interchangeable with every other `Session::global()`, so
     /// this is the drop-in target for code that wants ambient sharing
-    /// across independent call sites (the CLI's serving engine uses
-    /// it); everything else should prefer [`Session::new`].
+    /// across independent call sites (the ambient `check_*` functions
+    /// use it); everything else should prefer [`Session::new`].
     ///
     /// ```
     /// use algst_core::{Session, types::Type};

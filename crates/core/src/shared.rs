@@ -467,7 +467,7 @@ struct Sizes {
 /// `stats` op and `--stats-on-exit`. Worker-side counters are folded in
 /// on every publish, so numbers trail the live state by at most one
 /// batch per worker.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Distinct hash-consed nodes in the current epoch's arena.
     pub nodes: u64,

@@ -518,9 +518,9 @@ impl Engine {
     /// resolve, intern, elaborate and normalize against that store and
     /// no other. Injecting [`Session::new`] gives a fully isolated
     /// engine (benchmarks use this to measure cold starts reproducibly;
-    /// multi-tenant embedders use it for per-tenant isolation);
-    /// [`Session::global`] shares warm state with in-process checking
-    /// that also opted into the process-global store.
+    /// the tenant registry builds one per tenant); the process-global
+    /// session shares warm state with in-process checking that also
+    /// opted into it.
     pub fn with_session(workers: usize, session: Session) -> Engine {
         Engine::with_obs(workers, session, ObsOptions::default())
     }
@@ -614,11 +614,6 @@ impl Engine {
             &self.state,
             &self.shared,
         )
-    }
-
-    /// Observability hooks shared with the serving front-end.
-    pub(crate) fn obs(&self) -> &Arc<EngineObs> {
-        &self.obs
     }
 
     /// Queues a batch; blocks when the queue is full (backpressure).
@@ -922,13 +917,13 @@ fn handle(
         }
         Op::Tenants => {
             // The engine serves exactly one tenant's store; the listing
-            // lives in the routed front-end's registry, which answers
-            // this op before it ever reaches a worker.
+            // lives in the serving front-end's registry, which answers
+            // this op before it ever reaches a worker. Only a caller that
+            // submits straight to an engine gets here.
             ctx.finish(id, "error", false, 0, Stages::default());
             Response::Error {
                 id,
-                error: "tenants: multi-tenant serving is disabled (start with --multi-tenant)"
-                    .into(),
+                error: "tenants: answered by the serving front-end, not by an engine".into(),
             }
         }
         Op::Shutdown => {

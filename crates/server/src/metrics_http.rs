@@ -3,14 +3,14 @@
 //! A deliberately tiny HTTP/1.0 responder: every connection gets one
 //! `200 OK text/plain` response carrying the full metrics registry in
 //! [exposition format](https://prometheus.io/docs/instrumenting/exposition_formats/)
-//! plus the shared store's counters, then the connection closes. No
-//! routing, no keep-alive, no TLS — it exists so `curl` and a scraper
-//! can watch a serving process without speaking the JSON protocol,
-//! and it never competes with the request path (its own thread, its
-//! own listener, reads only atomics).
+//! plus the `default` tenant's store counters and the tenant-labelled
+//! series, then the connection closes. No routing, no keep-alive, no
+//! TLS — it exists so `curl` and a scraper can watch a serving process
+//! without speaking the JSON protocol, and it never competes with the
+//! request path (its own thread, its own listener, reads only atomics).
 
-use crate::tenant::TenantRegistry;
-use algst_core::shared::SharedStore;
+use crate::tenant::{TenantRegistry, DEFAULT_TENANT};
+use algst_core::shared::StoreStats;
 use algst_obs::Registry;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -49,29 +49,22 @@ impl Drop for MetricsServer {
 
 /// Binds `addr` and serves metric scrapes on a dedicated thread until
 /// the returned [`MetricsServer`] is dropped. Every HTTP request gets
-/// the current [`Registry`] snapshot (stable, sorted key order) plus
-/// the store's counters, `algst_`-prefixed.
+/// the current [`Registry`] snapshot (stable, sorted key order; every
+/// tenant engine resolves the same metric names, so their counters are
+/// already folded together), then the `default` tenant's store counters
+/// (zeroes before that tenant's first request), then the
+/// tenant-labelled series of [`TenantRegistry::prometheus`].
 pub fn serve_metrics(
-    addr: &str,
-    registry: Arc<Registry>,
-    store: Arc<SharedStore>,
-) -> io::Result<MetricsServer> {
-    serve_metrics_with(addr, move || exposition(&registry, &store))
-}
-
-/// [`serve_metrics`] for a multi-tenant server: the shared registry
-/// exposition (every tenant engine resolves the same metric names, so
-/// their counters are already folded together) followed by the
-/// tenant-labelled series of [`TenantRegistry::prometheus`]. There is
-/// no single store in this mode; per-tenant `algst_tenant_store_*`
-/// gauges replace the `algst_store_*` family.
-pub fn serve_metrics_tenants(
     addr: &str,
     registry: Arc<Registry>,
     tenants: Arc<TenantRegistry>,
 ) -> io::Result<MetricsServer> {
     serve_metrics_with(addr, move || {
-        let mut body = registry.snapshot().prometheus("algst_");
+        let store = tenants
+            .resolve(&mut tenants.view(), DEFAULT_TENANT)
+            .map(|handle| handle.engine().store().stats())
+            .unwrap_or_default();
+        let mut body = exposition(&registry, &store);
         body.push_str(&tenants.prometheus());
         body
     })
@@ -148,12 +141,11 @@ fn answer(mut stream: TcpStream, body: &dyn Fn() -> String) -> io::Result<()> {
     stream.flush()
 }
 
-/// The full scrape body: the registry exposition followed by the
-/// store's counters as gauges (they live in the store, not the
-/// registry, because they predate it and are always on).
-pub fn exposition(registry: &Registry, store: &SharedStore) -> String {
+/// The registry exposition followed by a store's counters as gauges
+/// (they live in the store, not the registry, because they predate it
+/// and are always on).
+fn exposition(registry: &Registry, s: &StoreStats) -> String {
     let mut out = registry.snapshot().prometheus("algst_");
-    let s = store.stats();
     for (name, value) in [
         ("store_arena_bytes", s.arena_bytes),
         ("store_bytes", s.live_bytes()),
@@ -187,7 +179,19 @@ pub fn exposition(registry: &Registry, store: &SharedStore) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{Op, Request};
+    use crate::tenant::TenantConfig;
     use std::io::BufReader;
+
+    fn end_equiv() -> Request {
+        Request {
+            id: 1,
+            op: Op::Equiv {
+                lhs: "End!".into(),
+                rhs: "End!".into(),
+            },
+        }
+    }
 
     fn scrape(addr: SocketAddr) -> String {
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -204,8 +208,9 @@ mod tests {
         let registry = Arc::new(Registry::new());
         registry.counter("requests_total").add(7);
         registry.histogram("request_service_ns").record(1500);
-        let store = Arc::new(SharedStore::new());
-        let server = serve_metrics("127.0.0.1:0", Arc::clone(&registry), store).unwrap();
+        let tenants = Arc::new(TenantRegistry::new(TenantConfig::default()));
+        let server =
+            serve_metrics("127.0.0.1:0", Arc::clone(&registry), Arc::clone(&tenants)).unwrap();
         let text = scrape(server.addr());
         assert!(text.starts_with("HTTP/1.0 200 OK"), "{text}");
         assert!(text.contains("algst_requests_total 7"), "{text}");
@@ -219,12 +224,16 @@ mod tests {
         registry.counter("requests_total").add(1);
         let again = scrape(server.addr());
         assert!(again.contains("algst_requests_total 8"), "{again}");
+        // The store gauges are the default tenant's, once it exists.
+        assert!(again.contains("algst_store_nodes 0\n"), "{again}");
+        tenants.process(&mut tenants.view(), DEFAULT_TENANT, vec![end_equiv()]);
+        let warm = scrape(server.addr());
+        assert!(!warm.contains("algst_store_nodes 0\n"), "{warm}");
+        assert!(warm.contains("algst_store_nodes "), "{warm}");
     }
 
     #[test]
     fn tenants_scrape_carries_tenant_labelled_series() {
-        use crate::protocol::{Op, Request};
-        use crate::tenant::TenantConfig;
         let registry = Arc::new(Registry::new());
         let tenants = Arc::new(TenantRegistry::new(TenantConfig {
             obs: crate::engine::ObsOptions {
@@ -234,20 +243,9 @@ mod tests {
             ..TenantConfig::default()
         }));
         let mut view = tenants.view();
-        tenants.process(
-            &mut view,
-            "acme",
-            vec![Request {
-                id: 1,
-                op: Op::Equiv {
-                    lhs: "End!".into(),
-                    rhs: "End!".into(),
-                },
-            }],
-        );
+        tenants.process(&mut view, "acme", vec![end_equiv()]);
         let server =
-            serve_metrics_tenants("127.0.0.1:0", Arc::clone(&registry), Arc::clone(&tenants))
-                .unwrap();
+            serve_metrics("127.0.0.1:0", Arc::clone(&registry), Arc::clone(&tenants)).unwrap();
         let text = scrape(server.addr());
         assert!(text.starts_with("HTTP/1.0 200 OK"), "{text}");
         // The shared engine registry and the tenant-labelled series

@@ -17,8 +17,9 @@
 //! (an identifier of `[A-Za-z0-9_-]`, at most 64 chars). Under
 //! multi-tenant serving (`algst serve --multi-tenant`) it routes the
 //! request to that tenant's engine; absent means the `"default"`
-//! tenant, so tenancy-unaware clients are untouched. Single-tenant
-//! serving ignores the field. A request refused by a tenant's
+//! tenant, so tenancy-unaware clients are untouched. Without
+//! `--multi-tenant` the field is validated and then dropped: every
+//! request runs on the `default` tenant. A request refused by a tenant's
 //! admission control comes back as an `"op":"error"` line carrying a
 //! `"kind"` of `"throttled"` (request-rate limit) or
 //! `"quota_exceeded"` (in-flight cap) — a per-request refusal, never
@@ -86,8 +87,9 @@ pub enum Op {
     },
     /// Full observability registry snapshot (stable key order).
     Metrics,
-    /// Per-tenant registry listing (multi-tenant serving only; a
-    /// single-tenant engine answers it with an error).
+    /// Per-tenant registry listing. The serving front-end answers it
+    /// from the tenant registry (one tenant, `default`, without
+    /// `--multi-tenant`); an engine never sees it.
     Tenants,
     Shutdown,
     Invalid {
@@ -108,15 +110,15 @@ pub fn valid_tenant_name(name: &str) -> bool {
 
 /// Parses one request line. `fallback_id` is assigned when the line has
 /// no (valid) `"id"` of its own; malformed lines become [`Op::Invalid`]
-/// under that same id. Any `"tenant"` field is validated and dropped —
-/// single-tenant callers route everything to the one engine.
+/// under that same id. Any `"tenant"` field is validated and dropped,
+/// for callers that send everything to one engine.
 pub fn parse_request(line: &str, fallback_id: u64) -> Request {
     parse_request_tenant(line, fallback_id).0
 }
 
-/// [`parse_request`] for routed (multi-tenant) serving: also returns
-/// the request's `"tenant"` field, `None` when absent (the caller maps
-/// that to the `"default"` tenant). A malformed tenant name makes the
+/// [`parse_request`] that also returns the request's `"tenant"` field,
+/// `None` when absent (the serving front-end maps that to the
+/// `"default"` tenant). A malformed tenant name makes the
 /// whole line [`Op::Invalid`].
 pub fn parse_request_tenant(line: &str, fallback_id: u64) -> (Request, Option<String>) {
     match parse_inner(line, fallback_id) {
@@ -227,10 +229,8 @@ pub struct Snapshot {
     /// (zero under `Engine::snapshot` or stdio serving).
     pub conns_accepted: u64,
     pub conns_active: u64,
-    /// Tenancy aggregates, filled in by the routed (multi-tenant)
-    /// front-end. `tenancy` gates their serialization so single-tenant
-    /// `stats` lines stay byte-identical to a tenancy-unaware server.
-    pub tenancy: bool,
+    /// Tenancy aggregates, filled in by the serving front-end from its
+    /// tenant registry (zero under `Engine::snapshot`).
     /// Live tenant engines (a gauge).
     pub tenants: u64,
     pub tenant_evictions: u64,
@@ -301,7 +301,6 @@ impl Snapshot {
             cache_locks: self.cache_locks.saturating_sub(prev.cache_locks),
             conns_accepted: self.conns_accepted.saturating_sub(prev.conns_accepted),
             conns_active: self.conns_active,
-            tenancy: self.tenancy,
             tenants: self.tenants,
             tenant_evictions: self.tenant_evictions.saturating_sub(prev.tenant_evictions),
             tenant_recreations: self
@@ -466,13 +465,11 @@ impl Response {
                     .field_u64("reclaimed_bytes", s.reclaimed_bytes)
                     .field_u64("cache_locks", s.cache_locks)
                     .field_u64("conns_accepted", s.conns_accepted)
-                    .field_u64("conns_active", s.conns_active);
-                if s.tenancy {
-                    w.field_u64("tenants", s.tenants)
-                        .field_u64("tenant_evictions", s.tenant_evictions)
-                        .field_u64("tenant_recreations", s.tenant_recreations)
-                        .field_u64("tenant_throttled", s.tenant_throttled);
-                }
+                    .field_u64("conns_active", s.conns_active)
+                    .field_u64("tenants", s.tenants)
+                    .field_u64("tenant_evictions", s.tenant_evictions)
+                    .field_u64("tenant_recreations", s.tenant_recreations)
+                    .field_u64("tenant_throttled", s.tenant_throttled);
                 w.finish()
             }
             Response::Metrics { id, fields } => {
@@ -592,7 +589,7 @@ mod tests {
             Op::Invalid { .. }
         ));
         assert!(valid_tenant_name(&"x".repeat(64)));
-        // Single-tenant parsing accepts (and drops) a valid tenant.
+        // `parse_request` accepts (and drops) a valid tenant.
         assert!(matches!(
             parse_request(r#"{"op":"metrics","tenant":"default"}"#, 1).op,
             Op::Metrics
@@ -639,30 +636,32 @@ mod tests {
     }
 
     #[test]
-    fn stats_lines_without_tenancy_omit_tenant_fields() {
-        let mut snapshot = Snapshot {
+    fn stats_lines_always_carry_tenancy_keys() {
+        let line = |snapshot| {
+            Response::Stats {
+                id: 1,
+                snapshot,
+                delta: false,
+            }
+            .to_json()
+        };
+        let tagged = line(Snapshot {
             requests: 10,
             tenants: 3,
             tenant_throttled: 2,
             ..Snapshot::default()
-        };
-        let single = Response::Stats {
-            id: 1,
-            snapshot,
-            delta: false,
-        }
-        .to_json();
-        assert!(!single.contains("tenant"), "{single}");
-        snapshot.tenancy = true;
-        let routed = Response::Stats {
-            id: 1,
-            snapshot,
-            delta: false,
-        }
-        .to_json();
-        assert!(routed.contains("\"tenants\":3"), "{routed}");
-        assert!(routed.contains("\"tenant_throttled\":2"), "{routed}");
-        assert!(routed.starts_with(&single[..single.len() - 1]));
+        });
+        assert!(tagged.contains("\"tenants\":3"), "{tagged}");
+        assert!(tagged.contains("\"tenant_throttled\":2"), "{tagged}");
+        // The tenancy keys close every stats line, zero or not, so a
+        // client sees one shape whatever the serving mode.
+        let empty = line(Snapshot::default());
+        assert!(
+            empty.ends_with(
+                r#""tenants":0,"tenant_evictions":0,"tenant_recreations":0,"tenant_throttled":0}"#
+            ),
+            "{empty}"
+        );
     }
 
     #[test]

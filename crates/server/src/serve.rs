@@ -1,18 +1,27 @@
-//! Front-ends: the JSON-lines loop over stdio or a **concurrent** TCP
-//! listener.
+//! Front-end: the JSON-lines loop over stdio or a **concurrent** TCP
+//! listener, in front of a [`TenantRegistry`].
 //!
 //! ```text
-//!              ┌── conn 1: reader ──batches──►┐            ┌──► demux/writer 1
-//! acceptor ──► ├── conn 2: reader ──batches──►│ Engine     ├──► demux/writer 2
-//!  (drain      └── conn N: reader ──batches──►│ worker pool└──► demux/writer N
-//!   state)                                    └─ SharedStore + request caches
+//!              ┌── conn 1: reader ──batches──►┐  tenant    ┌──► demux/writer 1
+//! acceptor ──► ├── conn 2: reader ──batches──►│  registry  ├──► demux/writer 2
+//!  (drain      └── conn N: reader ──batches──►│  → Engine  └──► demux/writer N
+//!   state)                                    └─ per tenant: worker pool + store
 //! ```
 //!
 //! Every accepted connection gets its own reader (this thread-of-control
 //! parses lines into [`Request`]s) and its own demultiplexing writer
-//! thread; all of them share one [`Engine`] worker pool, so warm state
-//! crosses connections. Per connection:
+//! thread. Requests reach a tenant's [`Engine`](crate::Engine) through
+//! the registry, so warm state crosses connections. Per connection:
 //!
+//! * **Tenants.** The reader names each request's tenant, cuts a batch
+//!   whenever the tenant changes (batches are single-tenant, so one
+//!   engine submit serves each), and runs the tenant's admission
+//!   control before submitting: the granted prefix goes to the
+//!   tenant's engine, the refused suffix is answered directly with
+//!   throttle errors under its own sequence number. Only
+//!   [`ServeConfig::multi_tenant`] lets a request's `"tenant"` field
+//!   pick the tenant; otherwise the field is validated and dropped, and
+//!   everything runs on the `default` tenant's one engine.
 //! * **Pipelining.** The reader keeps batching while bytes are ready (a
 //!   client that wrote a burst gets one batch), flushing at
 //!   [`ServeConfig::batch_max`] so latency stays bounded under a
@@ -35,32 +44,20 @@
 //!   sends fail fast, and the worker pool moves on to other
 //!   connections' work.
 //!
+//! The `tenants` admin op is answered by the reader from the registry
+//! (it never occupies a worker), and outgoing `stats` responses are
+//! stamped with the connection gauges and the registry's tenancy
+//! aggregates.
+//!
 //! A `shutdown` request (on **any** connection) starts a graceful
 //! drain: the acceptor stops accepting, every connection finishes the
 //! requests it has already received — including what is sitting in its
 //! socket buffer — answers its client, and closes; then the listener
 //! returns. EOF on a connection ends just that connection, minus the
 //! `shutdown` response.
-//!
-//! # Routed (multi-tenant) serving
-//!
-//! The `*_tenants` entry points serve the same protocol over a
-//! [`TenantRegistry`] instead of a single [`Engine`]. Per connection,
-//! the reader resolves each request's `"tenant"` field (absent →
-//! `"default"`), cuts a batch whenever the tenant changes (batches are
-//! single-tenant, so one engine submit serves each), and runs the
-//! tenant's admission control before submitting: the granted prefix
-//! goes to the tenant's engine, the refused suffix is answered
-//! directly with throttle errors under its own sequence number — the
-//! demux writer then interleaves both back into request order. The
-//! `tenants` admin op is answered by the reader from the registry
-//! (it never occupies a worker), and outgoing `stats` responses are
-//! stamped with the registry's tenancy aggregates.
 
-use crate::engine::{BatchReply, Engine, EngineObs};
-use crate::protocol::{
-    parse_request, parse_request_tenant, Op, Request, Response, Snapshot, ThrottleKind,
-};
+use crate::engine::{BatchReply, EngineObs};
+use crate::protocol::{parse_request_tenant, Op, Request, Response, Snapshot, ThrottleKind};
 use crate::tenant::{TenantHandle, TenantRegistry, TenantView, DEFAULT_TENANT};
 use algst_obs::{Field, Level, Span};
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -82,7 +79,8 @@ const ACCEPT_TICK: Duration = Duration::from_millis(5);
 /// that continues to stream requests after `shutdown`.
 const DRAIN_MAX: Duration = Duration::from_secs(2);
 
-/// Front-end configuration (the engine itself is configured separately).
+/// Front-end configuration (the engines are configured through the
+/// registry's [`crate::TenantConfig`]).
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
     /// Max requests per submitted batch.
@@ -95,6 +93,10 @@ pub struct ServeConfig {
     /// Close a connection when no byte arrives for this long (`None`
     /// disables). Enforced for TCP; stdio reads block indefinitely.
     pub read_timeout: Option<Duration>,
+    /// Route each request by its `"tenant"` field. When false the field
+    /// is validated and dropped, so every request runs on the `default`
+    /// tenant and a client cannot make the server build engines.
+    pub multi_tenant: bool,
 }
 
 impl Default for ServeConfig {
@@ -104,6 +106,7 @@ impl Default for ServeConfig {
             stats_on_exit: false,
             max_conns: 64,
             read_timeout: Some(Duration::from_secs(30)),
+            multi_tenant: false,
         }
     }
 }
@@ -163,35 +166,17 @@ enum ReadEnd {
     Failed(io::Error),
 }
 
-/// What a connection routes its requests through: the classic single
-/// engine, or the multi-tenant registry.
-#[derive(Clone, Copy)]
-pub(crate) enum Router<'a> {
-    Single(&'a Engine),
-    Tenants(&'a TenantRegistry),
-}
-
-impl<'a> Router<'a> {
-    /// Front-end observability hooks (connection lifecycle + reader/
-    /// writer stage timings).
-    fn obs(&self) -> &'a Arc<EngineObs> {
-        match self {
-            Router::Single(engine) => engine.obs(),
-            Router::Tenants(registry) => registry.obs(),
-        }
-    }
-}
-
 /// A reader→writer note: batch `seq` holds `count` admitted requests
 /// of `handle`, to be released when the batch's responses come back.
 type InflightNote = (u64, Arc<TenantHandle>, u64);
 
 /// Serves one connection: reads newline-delimited requests from
-/// `input`, pipelines them through `engine`, and writes responses to
-/// `output` in request order. Returns when the input ends, a `shutdown`
-/// op is processed, the drain flag fires, or the client times out.
+/// `input`, pipelines them through the tenants' engines, and writes
+/// responses to `output` in request order. Returns when the input
+/// ends, a `shutdown` op is processed, the drain flag fires, or the
+/// client times out.
 fn serve_conn<R, W>(
-    router: Router<'_>,
+    tenants: &TenantRegistry,
     input: R,
     output: W,
     config: ServeConfig,
@@ -202,7 +187,7 @@ where
     R: Read,
     W: Write + Send,
 {
-    let obs = router.obs();
+    let obs = tenants.obs();
     obs.conn_opened();
     obs.sink()
         .event(Level::Info, "conn_open", &[("conn", Field::U64(conn))]);
@@ -223,7 +208,6 @@ where
     let result = std::thread::scope(|scope| {
         let writer = scope.spawn({
             let written_batches = Arc::clone(&written_batches);
-            let obs = Arc::clone(obs);
             move || -> io::Result<u64> {
                 let mut output = output;
                 let mut inflight: HashMap<u64, (Arc<TenantHandle>, u64)> = HashMap::new();
@@ -232,10 +216,9 @@ where
                     &reply_rx,
                     &inflight_rx,
                     &mut inflight,
-                    router,
+                    tenants,
                     registry,
                     &written_batches,
-                    &obs,
                 );
                 // Whatever is still reserved when the writer ends (an
                 // output error, a vanished client) must release its
@@ -253,11 +236,8 @@ where
         let end = {
             let writer_finished = || writer.is_finished();
             let mut reader = ConnReader {
-                router,
-                view: match router {
-                    Router::Single(_) => None,
-                    Router::Tenants(reg) => Some(reg.view()),
-                },
+                tenants,
+                view: tenants.view(),
                 pending_tenant: DEFAULT_TENANT.to_string(),
                 config,
                 registry,
@@ -268,6 +248,7 @@ where
                 written_batches: &written_batches,
                 next_seq: 0,
                 next_id: 0,
+                scanned: 0,
                 pending: Vec::new(),
                 summary: &mut summary,
             };
@@ -308,19 +289,18 @@ where
 
 /// The connection's demux/write loop: reorders completed batches by
 /// sequence number, stamps `stats` responses with connection gauges
-/// (and, routed, the registry's tenancy aggregates), and releases
-/// tenant in-flight reservations as each batch's responses come back.
-#[allow(clippy::too_many_arguments)]
+/// and the registry's tenancy aggregates, and releases tenant
+/// in-flight reservations as each batch's responses come back.
 fn write_responses<W: Write>(
     output: &mut W,
     reply_rx: &Receiver<BatchReply>,
     inflight_rx: &Receiver<InflightNote>,
     inflight: &mut HashMap<u64, (Arc<TenantHandle>, u64)>,
-    router: Router<'_>,
+    tenants: &TenantRegistry,
     registry: &Registry,
     written_batches: &AtomicU64,
-    obs: &EngineObs,
 ) -> io::Result<u64> {
+    let obs = tenants.obs();
     let mut written = 0u64;
     let mut next_seq = 0u64;
     let mut held: BTreeMap<u64, Vec<Response>> = BTreeMap::new();
@@ -344,8 +324,8 @@ fn write_responses<W: Write>(
             let span = obs.enabled().then(Span::begin);
             for response in &batch {
                 let line = match response {
-                    // The engine knows nothing about connections (or
-                    // tenants); patch the gauges into stats responses
+                    // The engine knows nothing about connections or
+                    // tenants; patch the gauges into stats responses
                     // on the way out, and resolve delta requests
                     // against this connection's cursor.
                     Response::Stats {
@@ -356,9 +336,7 @@ fn write_responses<W: Write>(
                         let mut snapshot = *snapshot;
                         snapshot.conns_accepted = registry.accepted.load(Ordering::Relaxed);
                         snapshot.conns_active = registry.active.load(Ordering::Relaxed);
-                        if let Router::Tenants(tenants) = router {
-                            tenants.patch_snapshot(&mut snapshot);
-                        }
+                        tenants.patch_snapshot(&mut snapshot);
                         let emitted = if *delta {
                             let prev = cursor.replace(snapshot).unwrap_or_default();
                             snapshot.delta_since(&prev)
@@ -393,12 +371,12 @@ fn write_responses<W: Write>(
 
 /// The per-connection reader state machine (see module docs).
 struct ConnReader<'a> {
-    router: Router<'a>,
-    /// Pinned registry snapshot (routed mode only): tenant resolution
-    /// against it is one atomic generation probe on the warm path.
-    view: Option<TenantView>,
-    /// Tenant of the requests currently in `pending` (routed batches
-    /// are single-tenant; a tenant switch cuts the batch).
+    tenants: &'a TenantRegistry,
+    /// Pinned registry snapshot: tenant resolution against it is one
+    /// atomic generation probe on the warm path.
+    view: TenantView,
+    /// Tenant of the requests currently in `pending` (batches are
+    /// single-tenant; a tenant switch cuts the batch).
     pending_tenant: String,
     config: ServeConfig,
     registry: &'a Registry,
@@ -409,11 +387,18 @@ struct ConnReader<'a> {
     written_batches: &'a AtomicU64,
     next_seq: u64,
     next_id: u64,
+    /// How much of the read buffer is known to hold no `\n`, so each
+    /// byte of a long line is searched once, not once per read chunk.
+    scanned: usize,
     pending: Vec<Request>,
     summary: &'a mut ServeSummary,
 }
 
 impl ConnReader<'_> {
+    fn obs(&self) -> &EngineObs {
+        self.tenants.obs()
+    }
+
     fn run<R: Read>(&mut self, mut input: R) -> ReadEnd {
         let mut buf: Vec<u8> = Vec::with_capacity(8192);
         let mut chunk = [0u8; 8192];
@@ -426,10 +411,10 @@ impl ConnReader<'_> {
             // covers parsing only (not the buffered read below, not the
             // backpressure wait in flush_pending), so the stage
             // histogram reflects reader CPU work per consumed chunk.
-            let span = (!buf.is_empty() && self.router.obs().enabled()).then(Span::begin);
+            let span = (!buf.is_empty() && self.obs().enabled()).then(Span::begin);
             let stop = self.consume_lines(&mut buf);
             if let Some(span) = span {
-                self.router.obs().record_read_parse(span.elapsed_ns());
+                self.obs().record_read_parse(span.elapsed_ns());
             }
             if stop {
                 self.flush_pending();
@@ -477,8 +462,8 @@ impl ConnReader<'_> {
                     }
                     if let Some(limit) = self.config.read_timeout {
                         if last_data.elapsed() >= limit {
-                            self.router.obs().conn_timeout();
-                            self.router.obs().sink().event(
+                            self.obs().conn_timeout();
+                            self.obs().sink().event(
                                 Level::Info,
                                 "conn_timeout",
                                 &[
@@ -486,17 +471,13 @@ impl ConnReader<'_> {
                                     ("idle_s", Field::F64(limit.as_secs_f64())),
                                 ],
                             );
-                            self.next_seq += 1;
-                            let _ = self.reply_tx.send((
-                                self.next_seq - 1,
-                                vec![Response::Error {
-                                    id: 0,
-                                    error: format!(
-                                        "read timeout: no data received for {}s",
-                                        limit.as_secs_f64()
-                                    ),
-                                }],
-                            ));
+                            self.inject_reply(vec![Response::Error {
+                                id: 0,
+                                error: format!(
+                                    "read timeout: no data received for {}s",
+                                    limit.as_secs_f64()
+                                ),
+                            }]);
                             return ReadEnd::Done;
                         }
                     }
@@ -512,10 +493,13 @@ impl ConnReader<'_> {
     /// (remaining buffered input is intentionally discarded).
     fn consume_lines(&mut self, buf: &mut Vec<u8>) -> bool {
         let mut start = 0usize;
+        let mut from = self.scanned;
         let mut stop = false;
-        while let Some(nl) = buf[start..].iter().position(|&b| b == b'\n') {
-            let line = String::from_utf8_lossy(&buf[start..start + nl]);
-            start += nl + 1;
+        while let Some(nl) = buf[from..].iter().position(|&b| b == b'\n') {
+            let end = from + nl;
+            let line = String::from_utf8_lossy(&buf[start..end]);
+            start = end + 1;
+            from = start;
             if self.push_line(line.trim()) {
                 stop = true;
                 break;
@@ -525,6 +509,7 @@ impl ConnReader<'_> {
             }
         }
         buf.drain(..start);
+        self.scanned = buf.len();
         stop
     }
 
@@ -540,33 +525,30 @@ impl ConnReader<'_> {
             return false;
         }
         self.next_id += 1;
-        let (request, tenant) = match self.router {
-            Router::Single(_) => (parse_request(trimmed, self.next_id), None),
-            Router::Tenants(_) => parse_request_tenant(trimmed, self.next_id),
-        };
-        if let Router::Tenants(tenants) = self.router {
-            let name = tenant.as_deref().unwrap_or(DEFAULT_TENANT);
-            if name != self.pending_tenant {
-                // Batches are single-tenant: cut here so each submit
-                // targets exactly one tenant's engine.
-                self.flush_pending();
-                self.pending_tenant.clear();
-                self.pending_tenant.push_str(name);
-            }
-            if matches!(request.op, Op::Tenants) {
-                // The `tenants` admin op is answered by the reader
-                // from the registry: it reports across tenants and
-                // must not occupy (or be throttled by) any one
-                // tenant's engine.
-                self.flush_pending();
-                self.summary.requests += 1;
-                let reply = Response::Tenants {
-                    id: request.id,
-                    fields: tenants.tenants_fields(),
-                };
-                self.inject_reply(vec![reply]);
-                return false;
-            }
+        let (request, tenant) = parse_request_tenant(trimmed, self.next_id);
+        // The one difference between the serving modes: only a
+        // multi-tenant server lets the (already validated) field route.
+        let tenant = tenant.filter(|_| self.config.multi_tenant);
+        let name = tenant.as_deref().unwrap_or(DEFAULT_TENANT);
+        if name != self.pending_tenant {
+            // Batches are single-tenant: cut here so each submit
+            // targets exactly one tenant's engine.
+            self.flush_pending();
+            self.pending_tenant.clear();
+            self.pending_tenant.push_str(name);
+        }
+        if matches!(request.op, Op::Tenants) {
+            // The `tenants` admin op is answered by the reader from the
+            // registry: it reports across tenants and must not occupy
+            // (or be throttled by) any one tenant's engine.
+            self.flush_pending();
+            self.summary.requests += 1;
+            let reply = Response::Tenants {
+                id: request.id,
+                fields: self.tenants.tenants_fields(),
+            };
+            self.inject_reply(vec![reply]);
+            return false;
         }
         let stop = matches!(request.op, Op::Shutdown);
         self.summary.requests += 1;
@@ -579,8 +561,9 @@ impl ConnReader<'_> {
     }
 
     /// Hands the writer a reader-produced reply batch (throttle
-    /// refusals, `tenants` answers) under its own sequence number; the
-    /// demux interleaves it back into request order.
+    /// refusals, `tenants` answers, the timeout error) under its own
+    /// sequence number; the demux interleaves it back into request
+    /// order.
     fn inject_reply(&mut self, batch: Vec<Response>) {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -589,7 +572,11 @@ impl ConnReader<'_> {
 
     /// Submits the pending batch (if any), honoring the per-connection
     /// in-flight window: past it, we stop and let TCP backpressure the
-    /// client rather than buffering unbounded work.
+    /// client rather than buffering unbounded work. The batch's tenant
+    /// is resolved (one generation probe when the registry is stable)
+    /// and admitted: the granted prefix goes to the tenant's engine and
+    /// the refused suffix is answered with throttle errors — never a
+    /// disconnect, and never a stall for other tenants.
     fn flush_pending(&mut self) {
         if self.pending.is_empty() {
             return;
@@ -603,30 +590,8 @@ impl ConnReader<'_> {
             }
             std::thread::sleep(Duration::from_micros(500));
         }
-        match self.router {
-            Router::Single(engine) => {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                engine.submit_conn(
-                    self.conn,
-                    seq,
-                    std::mem::take(&mut self.pending),
-                    self.reply_tx.clone(),
-                );
-            }
-            Router::Tenants(tenants) => self.flush_routed(tenants),
-        }
-    }
-
-    /// Routed submit: resolve the batch's tenant (one generation probe
-    /// when the registry is stable), run admission control, submit the
-    /// granted prefix to the tenant's engine, and answer the refused
-    /// suffix with throttle errors — never a disconnect, and never a
-    /// stall for other tenants.
-    fn flush_routed(&mut self, tenants: &TenantRegistry) {
-        let view = self.view.as_mut().expect("routed reader has a view");
-        let handle = tenants.tenant(view, &self.pending_tenant);
-        let admission = tenants.admit(&handle, self.pending.len());
+        let handle = self.tenants.tenant(&mut self.view, &self.pending_tenant);
+        let admission = self.tenants.admit(&handle, self.pending.len());
         let refused = self.pending.split_off(admission.granted);
         let batch = std::mem::take(&mut self.pending);
         if !batch.is_empty() {
@@ -664,37 +629,7 @@ impl ConnReader<'_> {
 /// by sequence number). Returns when the input ends or a `shutdown` op
 /// is processed.
 pub fn serve_session<R, W>(
-    engine: &Engine,
-    input: R,
-    output: W,
-    config: ServeConfig,
-) -> io::Result<ServeSummary>
-where
-    R: Read,
-    W: Write + Send,
-{
-    serve_session_router(Router::Single(engine), input, output, config)
-}
-
-/// [`serve_session`] routed through a [`TenantRegistry`]: requests
-/// carry an optional `"tenant"` field (absent → `"default"`), each
-/// tenant gets its own lazily-created engine, and over-quota requests
-/// are answered with structured throttle errors.
-pub fn serve_session_tenants<R, W>(
     tenants: &TenantRegistry,
-    input: R,
-    output: W,
-    config: ServeConfig,
-) -> io::Result<ServeSummary>
-where
-    R: Read,
-    W: Write + Send,
-{
-    serve_session_router(Router::Tenants(tenants), input, output, config)
-}
-
-fn serve_session_router<R, W>(
-    router: Router<'_>,
     input: R,
     output: W,
     config: ServeConfig,
@@ -705,100 +640,67 @@ where
 {
     let registry = Registry::default();
     let conn = registry.connect();
-    let summary = serve_conn(router, input, output, config, &registry, conn)?;
+    let summary = serve_conn(tenants, input, output, config, &registry, conn)?;
     if config.stats_on_exit {
-        eprintln!("{}", router_stats_line(router));
+        eprintln!("{}", stats_line(tenants));
     }
     Ok(summary)
 }
 
-fn router_stats_line(router: Router<'_>) -> String {
-    match router {
-        Router::Single(engine) => stats_line(engine),
-        Router::Tenants(tenants) => stats_line_tenants(tenants),
-    }
-}
-
-/// The engine snapshot rendered exactly like a `stats` response (without
-/// an id), for `--stats-on-exit`.
+/// The `default` tenant's engine snapshot (zeroes when that tenant has
+/// never been contacted) stamped with the registry's tenancy
+/// aggregates, rendered exactly like a `stats` response (without an
+/// id), for `--stats-on-exit`.
 ///
 /// Besides cache hit rates, the line carries the store's contention
 /// profile — slow-path (writer-mutex) commits and lock counts — so
 /// "the warm path took no locks" is observable from the outside:
 ///
 /// ```
-/// use algst_core::Session;
-/// use algst_server::{Engine, Request, parse_request};
+/// use algst_server::{parse_request, TenantConfig, TenantRegistry};
 /// use algst_server::serve::stats_line;
 ///
-/// let engine = Engine::with_session(1, Session::new());
+/// let tenants = TenantRegistry::new(TenantConfig::default());
 /// let req = parse_request(r#"{"op":"equiv","lhs":"!Int.End!","rhs":"Dual (?Int.End?)"}"#, 1);
-/// engine.process(vec![req]);
-/// let line = stats_line(&engine);
-/// for key in ["store_slow_path", "store_locks", "store_bytes", "cache_locks"] {
+/// tenants.process(&mut tenants.view(), "default", vec![req]);
+/// let line = stats_line(&tenants);
+/// for key in ["store_slow_path", "store_locks", "store_bytes", "cache_locks", "tenants"] {
 ///     assert!(line.contains(key), "{key} missing from {line}");
 /// }
 /// ```
-pub fn stats_line(engine: &Engine) -> String {
-    let response = crate::protocol::Response::Stats {
-        id: 0,
-        snapshot: engine.snapshot(),
-        delta: false,
-    };
-    response.to_json()
-}
-
-/// [`stats_line`] for a routed server: the default tenant's engine
-/// snapshot (zeroes when that tenant has never been contacted) stamped
-/// with the registry's tenancy aggregates.
-pub fn stats_line_tenants(tenants: &TenantRegistry) -> String {
-    let mut view = tenants.view();
+pub fn stats_line(tenants: &TenantRegistry) -> String {
     let mut snapshot = tenants
-        .resolve(&mut view, DEFAULT_TENANT)
+        .resolve(&mut tenants.view(), DEFAULT_TENANT)
         .map(|handle| handle.engine().snapshot())
         .unwrap_or_default();
     tenants.patch_snapshot(&mut snapshot);
-    let response = crate::protocol::Response::Stats {
+    Response::Stats {
         id: 0,
         snapshot,
         delta: false,
-    };
-    response.to_json()
+    }
+    .to_json()
 }
 
 /// Serves stdio until EOF or `shutdown`.
-pub fn serve_stdio(engine: &Engine, config: ServeConfig) -> io::Result<ServeSummary> {
+pub fn serve_stdio(tenants: &TenantRegistry, config: ServeConfig) -> io::Result<ServeSummary> {
     // `Stdout` (not `StdoutLock`) — the writer thread needs `Send`.
-    serve_session(engine, io::stdin().lock(), io::stdout(), config)
-}
-
-/// [`serve_stdio`] routed through a [`TenantRegistry`].
-pub fn serve_stdio_tenants(
-    tenants: &TenantRegistry,
-    config: ServeConfig,
-) -> io::Result<ServeSummary> {
-    serve_session_tenants(tenants, io::stdin().lock(), io::stdout(), config)
+    serve_session(tenants, io::stdin().lock(), io::stdout(), config)
 }
 
 /// Binds `addr` and serves TCP connections **concurrently**: every
 /// accepted connection gets its own reader and ordered-demux writer
-/// over the shared worker pool, up to [`ServeConfig::max_conns`] at
+/// over the tenants' worker pools, up to [`ServeConfig::max_conns`] at
 /// once. A `shutdown` op on any connection drains the whole listener:
 /// no new connections, every in-flight request on every connection is
 /// answered, then this returns the aggregated summary.
-pub fn serve_tcp(engine: &Engine, addr: &str, config: ServeConfig) -> io::Result<ServeSummary> {
-    let listener = TcpListener::bind(addr)?;
-    serve_listener(engine, &listener, config)
-}
-
-/// [`serve_tcp`] routed through a [`TenantRegistry`].
-pub fn serve_tcp_tenants(
+pub fn serve_tcp(
     tenants: &TenantRegistry,
     addr: &str,
     config: ServeConfig,
 ) -> io::Result<ServeSummary> {
     let listener = TcpListener::bind(addr)?;
-    serve_listener_tenants(tenants, &listener, config)
+    serve_listener(tenants, &listener, config)
 }
 
 /// [`serve_tcp`] over an already-bound listener (lets callers pick port
@@ -806,31 +708,13 @@ pub fn serve_tcp_tenants(
 /// session (client reset, EPIPE) is logged and dropped — the listener
 /// keeps serving; only `accept` errors end the loop early.
 pub fn serve_listener(
-    engine: &Engine,
-    listener: &TcpListener,
-    config: ServeConfig,
-) -> io::Result<ServeSummary> {
-    serve_listener_router(Router::Single(engine), listener, config)
-}
-
-/// [`serve_listener`] routed through a [`TenantRegistry`].
-pub fn serve_listener_tenants(
     tenants: &TenantRegistry,
-    listener: &TcpListener,
-    config: ServeConfig,
-) -> io::Result<ServeSummary> {
-    serve_listener_router(Router::Tenants(tenants), listener, config)
-}
-
-fn serve_listener_router(
-    router: Router<'_>,
     listener: &TcpListener,
     config: ServeConfig,
 ) -> io::Result<ServeSummary> {
     listener.set_nonblocking(true)?;
     let registry = Registry::default();
     let mut total = ServeSummary::default();
-
     let result = std::thread::scope(|scope| -> io::Result<()> {
         let mut conns: Vec<std::thread::ScopedJoinHandle<'_, io::Result<ServeSummary>>> =
             Vec::new();
@@ -894,7 +778,7 @@ fn serve_listener_router(
                     let conn = registry.connect();
                     let registry = &registry;
                     conns.push(scope.spawn(move || {
-                        let result = serve_conn(router, reader, stream, config, registry, conn);
+                        let result = serve_conn(tenants, reader, stream, config, registry, conn);
                         registry.disconnect();
                         result
                     }));
@@ -915,7 +799,7 @@ fn serve_listener_router(
     });
 
     if config.stats_on_exit {
-        eprintln!("{}", router_stats_line(router));
+        eprintln!("{}", stats_line(tenants));
     }
     result?;
     Ok(total)
@@ -938,19 +822,33 @@ mod tests {
     use super::*;
     use crate::json;
     use crate::tenant::{TenantConfig, TenantQuotas};
-    use algst_core::Session;
 
-    fn run(input: &str) -> (ServeSummary, Vec<Vec<(String, json::Value)>>) {
-        let engine = Engine::with_session(2, Session::new());
+    /// A registry whose engines run 2 workers (stats lines report
+    /// `workers: 2`).
+    fn two_workers() -> TenantRegistry {
+        TenantRegistry::new(TenantConfig {
+            workers: 2,
+            ..TenantConfig::default()
+        })
+    }
+
+    fn serve_with<R: Read>(
+        tenants: &TenantRegistry,
+        input: R,
+        config: ServeConfig,
+    ) -> (ServeSummary, Vec<Vec<(String, json::Value)>>) {
         let mut out = Vec::new();
-        let summary =
-            serve_session(&engine, input.as_bytes(), &mut out, ServeConfig::default()).unwrap();
+        let summary = serve_session(tenants, input, &mut out, config).unwrap();
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<Vec<(String, json::Value)>> = text
             .lines()
             .map(|l| json::parse_object(l).unwrap_or_else(|e| panic!("bad line {l}: {e}")))
             .collect();
         (summary, lines)
+    }
+
+    fn run(input: &str) -> (ServeSummary, Vec<Vec<(String, json::Value)>>) {
+        serve_with(&two_workers(), input.as_bytes(), ServeConfig::default())
     }
 
     #[test]
@@ -1125,13 +1023,13 @@ mod tests {
                 i + 1
             ));
         }
-        let engine = Engine::with_session(2, Session::new());
+        let tenants = two_workers();
         let mut out = Vec::new();
         let config = ServeConfig {
             batch_max: 8,
             ..ServeConfig::default()
         };
-        let summary = serve_session(&engine, input.as_bytes(), &mut out, config).unwrap();
+        let summary = serve_session(&tenants, input.as_bytes(), &mut out, config).unwrap();
         assert_eq!(summary.requests, 200);
         assert_eq!(summary.responses, 200);
         let text = String::from_utf8(out).unwrap();
@@ -1157,17 +1055,11 @@ mod tests {
         config: TenantConfig,
         input: &str,
     ) -> (ServeSummary, Vec<Vec<(String, json::Value)>>) {
-        let tenants = TenantRegistry::new(config);
-        let mut out = Vec::new();
-        let summary =
-            serve_session_tenants(&tenants, input.as_bytes(), &mut out, ServeConfig::default())
-                .unwrap();
-        let text = String::from_utf8(out).unwrap();
-        let lines: Vec<Vec<(String, json::Value)>> = text
-            .lines()
-            .map(|l| json::parse_object(l).unwrap_or_else(|e| panic!("bad line {l}: {e}")))
-            .collect();
-        (summary, lines)
+        let config_mt = ServeConfig {
+            multi_tenant: true,
+            ..ServeConfig::default()
+        };
+        serve_with(&TenantRegistry::new(config), input.as_bytes(), config_mt)
     }
 
     #[test]
@@ -1219,6 +1111,82 @@ mod tests {
             json::get(&lines[3], "tenant_globex_requests").and_then(json::Value::as_int),
             Some(1)
         );
+
+        // Second configuration, without `multi_tenant`: the same input
+        // runs on the one default engine, so globex's pair (acme's pair)
+        // is already warm and the registry holds one tenant.
+        let (summary, lines) = run(input);
+        assert_eq!(summary.responses, 4);
+        let warm = |ix: usize| json::get(&lines[ix], "warm").cloned();
+        assert_eq!(warm(0), Some(json::Value::Bool(false)));
+        assert_eq!(warm(1), Some(json::Value::Bool(true)));
+        assert_eq!(warm(2), Some(json::Value::Bool(true)));
+        assert_eq!(
+            json::get(&lines[3], "tenants").and_then(json::Value::as_int),
+            Some(1)
+        );
+        assert_eq!(
+            json::get(&lines[3], "tenant_default_requests").and_then(json::Value::as_int),
+            Some(3)
+        );
+        assert_eq!(json::get(&lines[3], "tenant_acme_requests"), None);
+        // The dropped field is still validated: a malformed name makes
+        // the line an error in both configurations.
+        let bad = r#"{"op":"equiv","lhs":"End!","rhs":"End!","tenant":"a b"}"#;
+        for (summary, lines) in [run(bad), run_routed(TenantConfig::default(), bad)] {
+            assert_eq!(summary.responses, 1);
+            assert_eq!(
+                json::get(&lines[0], "op").and_then(json::Value::as_str),
+                Some("error")
+            );
+            let error = json::get(&lines[0], "error").and_then(json::Value::as_str);
+            assert!(error.unwrap().contains("invalid tenant name"), "{error:?}");
+        }
+    }
+
+    /// A `Read` that hands out at most `chunk` bytes per call, the way a
+    /// socket delivers a long line.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        chunk: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.chunk.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_long_line_read_in_small_chunks_is_answered() {
+        // 1 MiB of JSON whitespace inside one request line, delivered
+        // 1 KiB per read: the reader must find the newline without
+        // rescanning the buffer after every chunk.
+        let pad = " ".repeat(1 << 20);
+        let input = format!(
+            concat!(
+                r#"{{"op":"equiv",{pad}"lhs":"!Int.End!","rhs":"Dual (?Int.End?)"}}"#,
+                "\n",
+                r#"{{"op":"equiv","lhs":"End!","rhs":"End?"}}"#,
+                "\n",
+            ),
+            pad = pad
+        );
+        let trickle = Trickle {
+            data: input.as_bytes(),
+            chunk: 1024,
+        };
+        let (summary, lines) = serve_with(&two_workers(), trickle, ServeConfig::default());
+        assert_eq!(summary.requests, 2);
+        assert_eq!(summary.responses, 2);
+        let get = |ix: usize, key: &str| json::get(&lines[ix], key).cloned();
+        assert_eq!(get(0, "id"), Some(json::Value::Int(1)));
+        assert_eq!(get(0, "verdict"), Some(json::Value::Bool(true)));
+        assert_eq!(get(1, "id"), Some(json::Value::Int(2)));
+        assert_eq!(get(1, "verdict"), Some(json::Value::Bool(false)));
     }
 
     #[test]
@@ -1302,12 +1270,12 @@ mod tests {
     #[test]
     fn tcp_round_trip() {
         use std::io::{BufRead, BufReader, Write};
-        let engine = Engine::with_session(2, Session::new());
+        let tenants = two_workers();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         std::thread::scope(|scope| {
-            let server =
-                scope.spawn(|| serve_listener(&engine, &listener, ServeConfig::default()).unwrap());
+            let server = scope
+                .spawn(|| serve_listener(&tenants, &listener, ServeConfig::default()).unwrap());
             let mut stream = std::net::TcpStream::connect(addr).unwrap();
             stream
                 .write_all(
@@ -1337,12 +1305,12 @@ mod tests {
         // its in-flight responses discarded — no panic, no stall — and
         // the server must keep serving other clients.
         use std::io::{BufRead, BufReader, Write};
-        let engine = Engine::with_session(2, Session::new());
+        let tenants = two_workers();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         std::thread::scope(|scope| {
-            let server =
-                scope.spawn(|| serve_listener(&engine, &listener, ServeConfig::default()).unwrap());
+            let server = scope
+                .spawn(|| serve_listener(&tenants, &listener, ServeConfig::default()).unwrap());
             {
                 let mut rude = std::net::TcpStream::connect(addr).unwrap();
                 // A deep pipelined burst keeps responses in flight, then

@@ -368,7 +368,7 @@ pub struct RegistryStats {
 /// and admission protocols.
 pub struct TenantRegistry {
     config: TenantConfig,
-    /// Connection-level observability hooks for the routed front-end
+    /// Connection-level observability hooks for the serving front-end
     /// (tenant engines resolve the same metric names from the same
     /// shared registry, so everything folds into one scrape).
     front_obs: Arc<EngineObs>,
@@ -442,7 +442,7 @@ impl TenantRegistry {
     }
 
     /// Front-end observability hooks (connection lifecycle, reader and
-    /// writer stage timings) shared by every routed connection.
+    /// writer stage timings) shared by every connection.
     pub(crate) fn obs(&self) -> &Arc<EngineObs> {
         &self.front_obs
     }
@@ -637,10 +637,9 @@ impl TenantRegistry {
     }
 
     /// Stamps the registry's tenancy aggregates into a snapshot (the
-    /// routed front-end calls this on every outgoing `stats` response).
+    /// serving front-end calls this on every outgoing `stats` response).
     pub fn patch_snapshot(&self, snapshot: &mut Snapshot) {
         let stats = self.stats();
-        snapshot.tenancy = true;
         snapshot.tenants = stats.tenants;
         snapshot.tenant_evictions = stats.evictions;
         snapshot.tenant_recreations = stats.recreations;
@@ -702,7 +701,7 @@ impl TenantRegistry {
     }
 
     /// Tenant-labelled Prometheus series, appended to the scrape body
-    /// by the routed metrics endpoint.
+    /// by the metrics endpoint.
     pub fn prometheus(&self) -> String {
         let stats = self.stats();
         let handles = self.handles();

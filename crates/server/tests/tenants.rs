@@ -5,11 +5,10 @@
 //! exactly zero registry lock acquisitions and zero store/cache lock
 //! acquisitions in any tenant engine.
 
-use algst_core::Session;
 use algst_gen::workload::tenant_workloads;
 use algst_server::{
-    json, serve_session, serve_session_tenants, Engine, Op, Request, Response, ServeConfig,
-    TenantConfig, TenantQuotas, TenantRegistry, ThrottleKind,
+    json, serve_session, Op, Request, Response, ServeConfig, TenantConfig, TenantQuotas,
+    TenantRegistry, ThrottleKind,
 };
 use std::sync::Arc;
 
@@ -153,66 +152,68 @@ fn quota_boundaries_grant_exactly_at_limit() {
     assert_eq!(registry.stats().throttled, 1);
 }
 
-/// Strips the per-response `ns` timing (the only nondeterministic
-/// field) and keeps everything else for exact comparison.
-fn parsed_without_ns(output: &[u8]) -> Vec<Vec<(String, json::Value)>> {
-    String::from_utf8(output.to_vec())
-        .unwrap()
-        .lines()
-        .map(|l| {
-            json::parse_object(l)
-                .unwrap_or_else(|e| panic!("bad line {l}: {e}"))
-                .into_iter()
-                .filter(|(k, _)| k != "ns")
-                .collect()
-        })
-        .collect()
+/// The answers of the former single-engine serving path (an `Engine`
+/// with no tenant registry in front) to [`BACK_COMPAT_INPUT`], captured
+/// verbatim minus the per-response `ns` timing (the one field that
+/// cannot be bit-stable across runs).
+const BACK_COMPAT_GOLDEN: [&str; 6] = [
+    r#"{"id":1,"op":"equiv","verdict":true,"warm":false}"#,
+    r#"{"id":2,"op":"equiv","verdict":false,"warm":false}"#,
+    r#"{"id":3,"op":"error","error":"expected '{', found 'n'"}"#,
+    r#"{"id":4,"op":"equiv","verdict":true,"warm":true}"#,
+    r#"{"id":5,"op":"check","ok":true,"cached":false}"#,
+    r#"{"id":6,"op":"error","error":"unknown op \"frobnicate\""}"#,
+];
+
+const BACK_COMPAT_INPUT: &str = concat!(
+    "{\"id\":1,\"op\":\"equiv\",\"lhs\":\"!Int.End!\",\"rhs\":\"Dual (?Int.End?)\"}\n",
+    "{\"id\":2,\"op\":\"equiv\",\"lhs\":\"End!\",\"rhs\":\"End?\"}\n",
+    "not json at all\n",
+    "{\"id\":4,\"op\":\"equiv\",\"lhs\":\"!Int.End!\",\"rhs\":\"Dual (?Int.End?)\"}\n",
+    "{\"id\":5,\"op\":\"check\",\"source\":\"main : Unit\\nmain = ()\"}\n",
+    "{\"id\":6,\"op\":\"frobnicate\"}\n",
+);
+
+/// Removes the `,"ns":<digits>` field from one response line, leaving
+/// every other byte in place.
+fn without_ns(line: &str) -> String {
+    let Some(at) = line.find(",\"ns\":") else {
+        return line.to_owned();
+    };
+    let digits = line[at + 6..]
+        .bytes()
+        .take_while(u8::is_ascii_digit)
+        .count();
+    assert!(digits > 0, "ns without a value in {line}");
+    format!("{}{}", &line[..at], &line[at + 6 + digits..])
 }
 
 #[test]
 fn tenantless_requests_behave_identically_to_single_engine_mode() {
     // The default-tenant back-compat regression: a client that never
     // says "tenant" must see exactly the responses the single-engine
-    // server gave — same fields, same values, same order — including
-    // error paths. (The `ns` timing is the one field that cannot be
-    // bit-stable across runs.)
-    let input = concat!(
-        "{\"id\":1,\"op\":\"equiv\",\"lhs\":\"!Int.End!\",\"rhs\":\"Dual (?Int.End?)\"}\n",
-        "{\"id\":2,\"op\":\"equiv\",\"lhs\":\"End!\",\"rhs\":\"End?\"}\n",
-        "not json at all\n",
-        "{\"id\":4,\"op\":\"equiv\",\"lhs\":\"!Int.End!\",\"rhs\":\"Dual (?Int.End?)\"}\n",
-        "{\"id\":5,\"op\":\"check\",\"source\":\"main : Unit\\nmain = ()\"}\n",
-        "{\"id\":6,\"op\":\"frobnicate\"}\n",
-    );
-
-    let engine = Engine::with_session(1, Session::new());
-    let mut single_out = Vec::new();
-    serve_session(
-        &engine,
-        input.as_bytes(),
-        &mut single_out,
-        ServeConfig::default(),
-    )
-    .unwrap();
-
-    let registry = TenantRegistry::new(TenantConfig::default());
-    let mut routed_out = Vec::new();
-    serve_session_tenants(
-        &registry,
-        input.as_bytes(),
-        &mut routed_out,
-        ServeConfig::default(),
-    )
-    .unwrap();
-
-    assert_eq!(
-        parsed_without_ns(&single_out),
-        parsed_without_ns(&routed_out),
-        "routed default-tenant output diverged from single-engine output\n\
-         --- single ---\n{}\n--- routed ---\n{}",
-        String::from_utf8_lossy(&single_out),
-        String::from_utf8_lossy(&routed_out),
-    );
+    // server gave — same bytes, same order — including error paths,
+    // in both serving configurations.
+    for multi_tenant in [false, true] {
+        let registry = TenantRegistry::new(TenantConfig::default());
+        let mut out = Vec::new();
+        let config = ServeConfig {
+            multi_tenant,
+            ..ServeConfig::default()
+        };
+        serve_session(&registry, BACK_COMPAT_INPUT.as_bytes(), &mut out, config).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let got: Vec<String> = text.lines().map(without_ns).collect();
+        assert_eq!(
+            got, BACK_COMPAT_GOLDEN,
+            "multi_tenant={multi_tenant}: default-tenant output diverged from the \
+             single-engine output\n{text}"
+        );
+        // Every parsed line is still a flat JSON object.
+        for line in text.lines() {
+            json::parse_object(line).unwrap_or_else(|e| panic!("bad line {line}: {e}"));
+        }
+    }
 }
 
 #[test]
